@@ -210,9 +210,7 @@ def prop1_check(
     require_valid(m)
     check_guard(m, guard)
     h = build_hypergraph(m)
-    for c in iter_cycles(
-        h, odd_only=True, nontrivial_only=True, max_len=len(h.vertices), budget=budget
-    ):
+    for c in iter_cycles(h, odd_only=True, nontrivial_only=True, budget=budget):
         if _cycle_qualifies(m, h, c):
             return Prop1Verdict(guaranteed=False, witness=c)
     return Prop1Verdict(guaranteed=True)

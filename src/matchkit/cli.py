@@ -5,8 +5,8 @@ Exit codes are the process-level contract: 0 = positive verdict, 1 =
 negative verdict, 2 = input/guard error, 3 = work budget exhausted.  Both
 output renderings (human default, ``--format json``) are produced from one
 fact dictionary, so they always carry identical content.  The environment
-variable MATCHKIT_BUDGET overrides the default cycle-search budget when no
-``--budget`` flag is given.
+variable MATCHKIT_BUDGET overrides the default work budget of the exhaustive
+searches when no ``--budget`` flag is given.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def cmd_solve_tu(args) -> int:
     market = _load_market_checked(args.market)
     if not isinstance(market, TuMarket):
         raise MarketFormatError("solve-tu needs a TU market file")
-    report = tu_solver.find_stable_matching_tu(market)
+    report = tu_solver.find_stable_matching_tu(market, budget=args.budget)
     facts = {
         "stable": report.stable,
         "lp_value": _frac(report.lp_value),
@@ -221,7 +221,9 @@ def cmd_solve_discrete(args) -> int:
         emit_report(args, "solve-discrete", inputs, facts, t0)
         return EXIT_OK if trace.outcome == "stable" else EXIT_NEGATIVE
     limit = 1 if args.first else None
-    matchings = discrete_solver.enumerate_stable_matchings(market, limit=limit)
+    matchings = discrete_solver.enumerate_stable_matchings(
+        market, limit=limit, budget=args.budget
+    )
     facts = {
         "stable_count": len(matchings),
         "stable_matchings": [dict(sorted(mu.assignment.items())) for mu in matchings],

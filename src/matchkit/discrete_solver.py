@@ -11,15 +11,19 @@ beats mu(f)), which mirrors how no-blocking subsumes firm rationality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .model import (
+    DEFAULT_BUDGET,
     DEFAULT_GUARD,
     DiscreteMarket,
     DiscreteMatching,
     SizeGuard,
     WorkerSet,
+    _Budget,
     check_guard,
     choice,
+    iter_disjoint_assignments,
     require_valid,
     satisfactory_sets,
     set_key,
@@ -121,50 +125,33 @@ def enumerate_stable_matchings(
     m: DiscreteMarket,
     guard: SizeGuard = DEFAULT_GUARD,
     limit: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[DiscreteMatching]:
     """All stable matchings, by exhaustive search over assignments of
     disjoint satisfactory sets to firms (only rational candidates can be
     stable), each verified by check_stable_discrete.
 
     With ``limit`` the search stops after that many hits (DFS order);
-    otherwise the full list is returned sorted by assignment.
+    otherwise the full list is returned sorted by assignment.  The search
+    spends at most ``budget`` steps.
     """
     require_valid(m)
     check_guard(m, guard)
-    firms = sorted(m.firms)
-    options: list[list[WorkerSet]] = []
-    for f in firms:
-        opts: list[WorkerSet] = [frozenset()]
+    options = []
+    for f in sorted(m.firms):
+        opts = [(frozenset(), ())]
         for s in satisfactory_sets(m, f):
             if all(f in m.acceptable_firms(w) for w in s):
-                opts.append(s)
+                opts.append((s, tuple((w, f) for w in s)))
         options.append(opts)
 
     found: list[DiscreteMatching] = []
-
-    def recurse(i: int, used: set[str], assignment: dict[str, str]) -> bool:
-        if i == len(firms):
-            mu = DiscreteMatching(assignment=dict(assignment))
-            if check_stable_discrete(m, mu).stable:
-                found.append(mu)
-                if limit is not None and len(found) >= limit:
-                    return True
-            return False
-        for s in options[i]:
-            if s & used:
-                continue
-            for w in s:
-                assignment[w] = firms[i]
-            used |= s
-            done = recurse(i + 1, used, assignment)
-            used -= s
-            for w in s:
-                del assignment[w]
-            if done:
-                return True
-        return False
-
-    recurse(0, set(), {})
+    for picked in iter_disjoint_assignments(options, _Budget(budget, "enumeration")):
+        mu = DiscreteMatching(assignment=chain.from_iterable(picked))
+        if check_stable_discrete(m, mu).stable:
+            found.append(mu)
+            if limit is not None and len(found) >= limit:
+                break
     if limit is None:
         found.sort(key=lambda mu: mu.key())
     return found

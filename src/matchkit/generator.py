@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .model import DEFAULT_GUARD, DiscreteMarket, TuMarket, WorkerSet
 from .roadmap import Roadmap, TechnologyPath, technology_paths
@@ -130,53 +131,74 @@ def _sample_sets(rng: SplitMix64, workers: list[str], p: GenParams) -> list[Work
     return sets
 
 
-def gen_tu_market(p: GenParams) -> TuMarket:
+def _market(
+    rng: SplitMix64,
+    kind: str,
+    firms: list[str],
+    workers: list[str],
+    p: GenParams,
+    sets_for: Callable[[str], list[WorkerSet]],
+) -> TuMarket | DiscreteMarket:
+    """Draw a market firm by firm, then worker by worker.  A firm's
+    acceptable sets come from ``sets_for(f)``, then get a value each (TU) or
+    are shuffled into a ranking (discrete); each worker accepts each firm
+    with probability ``p.acceptability_density``, likewise valued or ranked."""
+    lo, hi = p.value_range
+    density = p.acceptability_density
+    if kind == "tu":
+        firm_valuations = {
+            f: {s: rng.fraction(lo, hi) for s in sets_for(f)} for f in firms
+        }
+        worker_valuations = {
+            w: {f: rng.fraction(lo, hi) for f in firms if rng.chance(density)}
+            for w in workers
+        }
+        return TuMarket(
+            firms=frozenset(firms),
+            workers=frozenset(workers),
+            firm_valuations=firm_valuations,
+            worker_valuations=worker_valuations,
+        )
+    if kind == "discrete":
+        firm_prefs = {}
+        for f in firms:
+            sets = list(sets_for(f))
+            rng.shuffle(sets)
+            firm_prefs[f] = tuple(sets)
+        worker_prefs = {}
+        for w in workers:
+            accepted = [f for f in firms if rng.chance(density)]
+            rng.shuffle(accepted)
+            worker_prefs[w] = tuple(accepted)
+        return DiscreteMarket(
+            firms=frozenset(firms),
+            workers=frozenset(workers),
+            firm_prefs=firm_prefs,
+            worker_prefs=worker_prefs,
+        )
+    raise ValueError(f"unknown market kind {kind!r}")
+
+
+def _random_market(p: GenParams, kind: str) -> TuMarket | DiscreteMarket:
     validate_params(p)
     rng = SplitMix64(p.seed)
-    firms = _names("f", p.firm_count)
     workers = _names("w", p.worker_count)
-    lo, hi = p.value_range
-    firm_valuations = {}
-    for f in firms:
-        firm_valuations[f] = {
-            s: rng.fraction(lo, hi) for s in _sample_sets(rng, workers, p)
-        }
-    worker_valuations = {}
-    for w in workers:
-        vals = {}
-        for f in firms:
-            if rng.chance(p.acceptability_density):
-                vals[f] = rng.fraction(lo, hi)
-        worker_valuations[w] = vals
-    return TuMarket(
-        firms=frozenset(firms),
-        workers=frozenset(workers),
-        firm_valuations=firm_valuations,
-        worker_valuations=worker_valuations,
+    return _market(
+        rng,
+        kind,
+        _names("f", p.firm_count),
+        workers,
+        p,
+        lambda f: _sample_sets(rng, workers, p),
     )
+
+
+def gen_tu_market(p: GenParams) -> TuMarket:
+    return _random_market(p, "tu")
 
 
 def gen_discrete_market(p: GenParams) -> DiscreteMarket:
-    validate_params(p)
-    rng = SplitMix64(p.seed)
-    firms = _names("f", p.firm_count)
-    workers = _names("w", p.worker_count)
-    firm_prefs = {}
-    for f in firms:
-        sets = _sample_sets(rng, workers, p)
-        rng.shuffle(sets)
-        firm_prefs[f] = tuple(sets)
-    worker_prefs = {}
-    for w in workers:
-        accepted = [f for f in firms if rng.chance(p.acceptability_density)]
-        rng.shuffle(accepted)
-        worker_prefs[w] = tuple(accepted)
-    return DiscreteMarket(
-        firms=frozenset(firms),
-        workers=frozenset(workers),
-        firm_prefs=firm_prefs,
-        worker_prefs=worker_prefs,
-    )
+    return _random_market(p, "discrete")
 
 
 def gen_roadmap_instance(
@@ -213,13 +235,11 @@ def gen_roadmap_instance(
     paths = technology_paths(skeleton)
 
     demanded: dict[str, set[str]] = {v: set() for v in vertices}
-    engagements: dict[str, TechnologyPath] = {}
     for i, w in enumerate(workers):
         if i < n_v:
             path = TechnologyPath(vertices=(vertices[i],), edges=())
         else:
             path = rng.choice(paths)
-        engagements[w] = path
         for v in path.vertices:
             demanded[v].add(w)
 
@@ -241,7 +261,6 @@ def gen_roadmap_instance(
         demanded={v: frozenset(s) for v, s in demanded.items()},
     )
 
-    lo, hi = p.value_range
     acceptable: dict[str, list[WorkerSet]] = {}
     for f in firms:
         pool: list[WorkerSet] = []
@@ -252,40 +271,4 @@ def gen_roadmap_instance(
         k = rng.randint(1, min(max(1, p.max_acceptable_sets_per_firm), len(pool)))
         acceptable[f] = rng.sample(pool, k)
 
-    if kind == "tu":
-        firm_valuations = {
-            f: {s: rng.fraction(lo, hi) for s in acceptable[f]} for f in firms
-        }
-        worker_valuations = {}
-        for w in workers:
-            vals = {}
-            for f in firms:
-                if rng.chance(p.acceptability_density):
-                    vals[f] = rng.fraction(lo, hi)
-            worker_valuations[w] = vals
-        market: DiscreteMarket | TuMarket = TuMarket(
-            firms=frozenset(firms),
-            workers=frozenset(workers),
-            firm_valuations=firm_valuations,
-            worker_valuations=worker_valuations,
-        )
-    elif kind == "discrete":
-        firm_prefs = {}
-        for f in firms:
-            sets = list(acceptable[f])
-            rng.shuffle(sets)
-            firm_prefs[f] = tuple(sets)
-        worker_prefs = {}
-        for w in workers:
-            accepted = [f for f in firms if rng.chance(p.acceptability_density)]
-            rng.shuffle(accepted)
-            worker_prefs[w] = tuple(accepted)
-        market = DiscreteMarket(
-            firms=frozenset(firms),
-            workers=frozenset(workers),
-            firm_prefs=firm_prefs,
-            worker_prefs=worker_prefs,
-        )
-    else:
-        raise ValueError(f"unknown market kind {kind!r}")
-    return roadmap, market
+    return roadmap, _market(rng, kind, firms, workers, p, lambda f: acceptable[f])

@@ -15,10 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import WorkBudgetExceeded
-from .model import Market, TuMarket, WorkerSet, satisfactory_sets
-
-DEFAULT_BUDGET = 10**7
+from .model import (
+    DEFAULT_BUDGET,
+    Market,
+    TuMarket,
+    WorkerSet,
+    _Budget,
+    satisfactory_sets,
+)
 
 
 @dataclass(frozen=True, eq=True)
@@ -138,18 +142,6 @@ def _reflect(c: HyperCycle) -> tuple[tuple[str, ...], tuple[int, ...]]:
     return verts, edges
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, steps: int):
-        self.left = steps
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise WorkBudgetExceeded("cycle search budget exhausted")
-
-
 def _iter_cycles(
     h: FirmWorkerHypergraph,
     odd_only: bool,
@@ -229,7 +221,9 @@ def iter_cycles(
     callers that stop early only pay for the search up to that point."""
     if max_len is None:
         max_len = len(h.vertices)
-    return _iter_cycles(h, odd_only, nontrivial_only, max_len, _Budget(budget))
+    return _iter_cycles(
+        h, odd_only, nontrivial_only, max_len, _Budget(budget, "cycle search")
+    )
 
 
 def enumerate_cycles(
@@ -245,7 +239,7 @@ def enumerate_cycles(
         max_len = len(h.vertices)
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
-    found = list(_iter_cycles(h, odd_only, nontrivial_only, max_len, _Budget(budget)))
+    found = list(iter_cycles(h, odd_only, nontrivial_only, max_len, budget))
     return sorted(found, key=lambda c: (c.vertices, c.edges))
 
 
@@ -254,9 +248,7 @@ def check_balanced(
 ) -> BalanceVerdict:
     """Balanced iff no nontrivial odd-length cycle exists; an unbalanced
     verdict carries the first such cycle found as a witness."""
-    for c in _iter_cycles(
-        h, odd_only=True, nontrivial_only=True, max_len=len(h.vertices), budget=_Budget(budget)
-    ):
+    for c in iter_cycles(h, odd_only=True, nontrivial_only=True, budget=budget):
         return BalanceVerdict(balanced=False, witness=c)
     return BalanceVerdict(balanced=True)
 

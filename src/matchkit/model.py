@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import InvalidMarketError, SizeGuardExceeded
+from .errors import InvalidMarketError, SizeGuardExceeded, WorkBudgetExceeded
 
 WorkerSet = frozenset[str]
+
+DEFAULT_BUDGET = 10**7
 
 
 def set_key(s: Iterable[str]) -> tuple[str, ...]:
@@ -233,6 +235,59 @@ def check_guard(m: Market, guard: SizeGuard = DEFAULT_GUARD) -> None:
         raise SizeGuardExceeded(f"{len(m.firms)} firms > guard {guard.max_firms}")
     if len(m.workers) > guard.max_workers:
         raise SizeGuardExceeded(f"{len(m.workers)} workers > guard {guard.max_workers}")
+
+
+class _Budget:
+    """Work counter of one exhaustive search: each step spends one unit, and
+    running out raises WorkBudgetExceeded (an error, never a verdict)."""
+
+    __slots__ = ("left", "search")
+
+    def __init__(self, steps: int, search: str):
+        self.left = steps
+        self.search = search
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise WorkBudgetExceeded(f"{self.search} budget exhausted")
+
+
+def iter_disjoint_assignments(options, budget: _Budget):
+    """Yield a tuple with one payload per slot for every choice of one option
+    per slot whose keys are pairwise disjoint.
+
+    ``options[i]`` lists the ``(key, payload)`` pairs of slot i, keys being
+    frozensets.  Choices come in depth-first order, the last slot varying
+    fastest, and every option placed spends one budget step.  The search
+    keeps one position per slot instead of recursing, which keeps the cost
+    per choice low.
+    """
+    n = len(options)
+    if n == 0:
+        yield ()
+        return
+    picked = [None] * n
+    used = [frozenset()] * n  # used[i]: the keys placed in slots before i
+    pos = [0] * n
+    i = 0
+    while i >= 0:
+        j = pos[i]
+        if j == len(options[i]):
+            pos[i] = 0
+            i -= 1
+            continue
+        pos[i] = j + 1
+        key, payload = options[i][j]
+        if key & used[i]:
+            continue
+        budget.spend()
+        picked[i] = payload
+        if i == n - 1:
+            yield tuple(picked)
+        else:
+            i += 1
+            used[i] = used[i - 1] | key
 
 
 def choice(m: DiscreteMarket, f: str, s: Iterable[str]) -> WorkerSet:

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hypergraph import (
-    BalanceVerdict,
-    DEFAULT_BUDGET,
-    build_hypergraph,
-    check_balanced,
-)
+from .hypergraph import BalanceVerdict, build_hypergraph, check_balanced
 from .errors import InvalidMarketError
-from .model import Market, WorkerSet, require_valid
+from .model import (
+    DEFAULT_BUDGET,
+    Market,
+    WorkerSet,
+    _Budget,
+    iter_disjoint_assignments,
+    require_valid,
+)
 
 
 @dataclass(frozen=True, eq=True)
@@ -95,7 +97,7 @@ def validate_roadmap(r: Roadmap, market: Market | None = None) -> list[str]:
                 f"{len(r.edges)} edges for {len(r.technologies)} vertices "
                 "(a tree needs exactly |V|-1)"
             )
-        elif not _connected(r):
+        elif not _is_connected(r.technologies, r.edges):
             problems.append("underlying graph is disconnected")
     for v in sorted(r.technologies):
         demanded = r.demanded.get(v)
@@ -119,12 +121,13 @@ def require_valid_roadmap(r: Roadmap, market: Market | None = None) -> None:
         raise InvalidMarketError("; ".join(problems))
 
 
-def _connected(r: Roadmap) -> bool:
-    neighbors: dict[str, set[str]] = {v: set() for v in r.technologies}
-    for a, b in r.edges:
+def _is_connected(vertices, edges) -> bool:
+    """True iff the undirected graph on the non-empty vertex set is connected."""
+    neighbors: dict[str, set[str]] = {v: set() for v in vertices}
+    for a, b in edges:
         neighbors[a].add(b)
         neighbors[b].add(a)
-    start = next(iter(sorted(r.technologies)))
+    start = next(iter(vertices))
     seen = {start}
     stack = [start]
     while stack:
@@ -132,7 +135,7 @@ def _connected(r: Roadmap) -> bool:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
-    return len(seen) == len(r.technologies)
+    return len(seen) == len(vertices)
 
 
 def worker_subgraph(r: Roadmap, w: str) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
@@ -159,19 +162,7 @@ def _is_technology_path(vertices: frozenset[str], edges: frozenset[tuple[str, st
         return False
     # n-1 edges with degrees <= 1 each way: a disjoint union of directed
     # chains, connected iff it is a single chain.
-    neighbors: dict[str, set[str]] = {v: set() for v in vertices}
-    for a, b in edges:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    start = next(iter(vertices))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for u in neighbors[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(vertices)
+    return _is_connected(vertices, edges)
 
 
 def is_specialist(r: Roadmap, w: str) -> bool:
@@ -207,58 +198,54 @@ def technology_paths(r: Roadmap) -> list[TechnologyPath]:
     return paths
 
 
-def iter_specializations(m: Market, r: Roadmap):
-    """Yield every collection of vertex-disjoint technology paths covering
-    the firms' acceptable sets, in canonical search order.  Firms with no
-    acceptable sets constrain nothing and are left out of the witness."""
+def _covering_paths(m: Market, r: Roadmap) -> dict[str, list[TechnologyPath]]:
+    """Validate both inputs, then list for each firm with acceptable sets (in
+    id order) the technology paths whose demanded sets include all of them.
+    Firms with no acceptable sets constrain nothing and are left out."""
     require_valid(m)
     require_valid_roadmap(r, m)
     paths = technology_paths(r)
-    firms = [f for f in sorted(m.firms) if m.acceptable_sets(f)]
-    candidates: list[list[TechnologyPath]] = []
-    for f in firms:
-        sets = set(m.acceptable_sets(f))
-        cands = [
-            p
-            for p in paths
-            if all(any(r.demanded[v] == s for v in p.vertices) for s in sets)
-        ]
-        candidates.append(cands)
-
-    def assign(i: int, used: set[str], picked: list[TechnologyPath]):
-        if i == len(firms):
-            yield dict(zip(firms, picked))
-            return
-        for p in candidates[i]:
-            verts = set(p.vertices)
-            if verts & used:
-                continue
-            picked.append(p)
-            yield from assign(i + 1, used | verts, picked)
-            picked.pop()
-
-    yield from assign(0, set(), [])
-
-
-def check_specialized(m: Market, r: Roadmap) -> SpecializationResult:
-    """Find one collection of vertex-disjoint technology paths, each
-    covering its firm's acceptable sets, or explain why none exists."""
-    for witness in iter_specializations(m, r):
-        return SpecializationResult(specialized=True, firm_paths=witness)
+    covering = {}
     for f in sorted(m.firms):
         sets = set(m.acceptable_sets(f))
-        if not sets:
-            continue
-        covering = [
-            p
-            for p in technology_paths(r)
-            if all(any(r.demanded[v] == s for v in p.vertices) for s in sets)
-        ]
-        if not covering:
+        if sets:
+            covering[f] = [
+                p
+                for p in paths
+                if all(any(r.demanded[v] == s for v in p.vertices) for s in sets)
+            ]
+    return covering
+
+
+def _disjoint_covers(covering: dict[str, list[TechnologyPath]], budget: int):
+    """Yield each vertex-disjoint choice of one covering path per firm."""
+    options = [[(frozenset(p.vertices), p) for p in ps] for ps in covering.values()]
+    search = iter_disjoint_assignments(options, _Budget(budget, "specialization search"))
+    for picked in search:
+        yield dict(zip(covering, picked))
+
+
+def iter_specializations(m: Market, r: Roadmap, budget: int = DEFAULT_BUDGET):
+    """Yield every collection of vertex-disjoint technology paths covering
+    the firms' acceptable sets, in canonical search order, as a firm -> path
+    dict.  Firms with no acceptable sets are left out of the witness."""
+    yield from _disjoint_covers(_covering_paths(m, r), budget)
+
+
+def check_specialized(
+    m: Market, r: Roadmap, budget: int = DEFAULT_BUDGET
+) -> SpecializationResult:
+    """Find one collection of vertex-disjoint technology paths, each
+    covering its firm's acceptable sets, or explain why none exists."""
+    covering = _covering_paths(m, r)
+    for f, paths in covering.items():
+        if not paths:
             return SpecializationResult(
                 specialized=False,
                 reason=f"no technology path covers all acceptable sets of {f}",
             )
+    for witness in _disjoint_covers(covering, budget):
+        return SpecializationResult(specialized=True, firm_paths=witness)
     return SpecializationResult(
         specialized=False,
         reason="covering paths exist per firm but no vertex-disjoint collection",
@@ -270,13 +257,15 @@ def theorem3_report(
 ) -> Theorem3Report:
     """Check the two hypotheses (all workers specialists, firms specialized)
     and the hypergraph conclusion; a counterexample instance where both
-    hypotheses hold yet the hypergraph is unbalanced is flagged."""
+    hypotheses hold yet the hypergraph is unbalanced is flagged.  The
+    specialization search and the cycle search each spend at most
+    ``budget`` steps."""
     require_valid(m)
     require_valid_roadmap(r, m)
     non_specialists = tuple(
         w for w in sorted(m.workers) if not is_specialist(r, w)
     )
-    spec = check_specialized(m, r)
+    spec = check_specialized(m, r, budget)
     balance = check_balanced(build_hypergraph(m), budget=budget)
     falsification = (
         not non_specialists and spec.specialized and not balance.balanced

@@ -8,19 +8,23 @@ coalition constraints of the optimal partition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeGuardExceeded
 from .model import (
     Coalition,
+    DEFAULT_BUDGET,
     DEFAULT_GUARD,
     SizeGuard,
     TuMarket,
     TuMatching,
     WorkerSet,
+    _Budget,
     check_guard,
     coalition_value,
+    iter_disjoint_assignments,
     require_valid,
     set_key,
     tu_utilities,
@@ -110,50 +114,34 @@ def build_lp_problem(m: TuMarket, guard: SizeGuard = DEFAULT_GUARD) -> TuLpProbl
 
 
 def max_partition_value(
-    m: TuMarket, guard: SizeGuard = DEFAULT_GUARD
+    m: TuMarket, guard: SizeGuard = DEFAULT_GUARD, budget: int = DEFAULT_BUDGET
 ) -> tuple[Fraction, dict[str, WorkerSet]]:
-    """Best aggregate value over all assignments of disjoint acceptable sets
-    to firms (workers only go where the firm is acceptable to them), by
-    exhaustive recursion; returns the lexicographically-first maximizer in
-    (firm order, set order)."""
+    """Best aggregate value over all assignments of disjoint firm coalitions
+    (or none) to firms, by exhaustive search; returns the
+    lexicographically-first maximizer in (firm order, set order)."""
     require_valid(m)
     check_guard(m, guard)
-    firms = sorted(m.firms)
-    options: list[list[tuple[WorkerSet, Fraction]]] = []
-    for f in firms:
-        opts: list[tuple[WorkerSet, Fraction]] = [(frozenset(), ZERO)]
-        for s in m.acceptable_sets(f):
-            if all(f in m.worker_valuations.get(w, {}) for w in s):
-                value = m.firm_value(f, s) + sum(
-                    (m.worker_value(w, f) for w in s), ZERO
-                )
-                opts.append((s, value))
-        options.append(opts)
+    coalitions = [c for c in potential_coalitions(m) if c.firm is not None]
+    values = [coalition_value(m, c) for c in coalitions]
+    # Totals are summed as integers over a common denominator: exact, and
+    # much cheaper per assignment than adding Fractions.
+    scale = math.lcm(*(v.denominator for v in values))
+    # A firm's singleton, listed before its other coalitions, is the empty set.
+    options: dict[str, list] = {f: [] for f in sorted(m.firms)}
+    for c, v in zip(coalitions, values):
+        options[c.firm].append((c.workers, (c.workers, int(v * scale))))
 
-    best_value = ZERO
-    best_assignment: list[WorkerSet] = [frozenset() for _ in firms]
-    chosen: list[WorkerSet] = []
-
-    def recurse(i: int, used: set[str], total: Fraction) -> None:
-        nonlocal best_value, best_assignment
-        if i == len(firms):
-            if total > best_value:
-                best_value = total
-                best_assignment = list(chosen)
-            return
-        for s, v in options[i]:
-            if s and (s & used):
-                continue
-            chosen.append(s)
-            used |= s
-            recurse(i + 1, used, total + v)
-            used -= s
-            chosen.pop()
-
-    # The all-empty assignment (value 0) is always feasible, so best_value
-    # starts at 0 with everyone unmatched.
-    recurse(0, set(), ZERO)
-    return best_value, dict(zip(firms, best_assignment))
+    # The all-empty assignment (value 0) is always feasible.
+    best_total = 0
+    best = [(frozenset(), 0)] * len(options)
+    search = iter_disjoint_assignments(
+        list(options.values()), _Budget(budget, "partition search")
+    )
+    for picked in search:
+        total = sum(v for _, v in picked)
+        if total > best_total:
+            best_total, best = total, picked
+    return Fraction(best_total, scale), {f: s for f, (s, _) in zip(options, best)}
 
 
 def solve_lp(
@@ -321,12 +309,14 @@ def find_stable_matching_tu(
     m: TuMarket,
     guard: SizeGuard = DEFAULT_GUARD,
     canonical_prices: bool = True,
+    budget: int = DEFAULT_BUDGET,
 ) -> TuStabilityReport:
     """Decide stable-matching existence: stable with (mu, p) when the LP
     value equals the best partition value, otherwise unstable with the
-    fractional cover as certificate."""
+    fractional cover as certificate.  The partition search spends at most
+    ``budget`` steps."""
     problem = build_lp_problem(m, guard)
-    vbar, partition = max_partition_value(m, guard)
+    vbar, partition = max_partition_value(m, guard, budget)
     x, dual = solve_lp(problem, canonical=canonical_prices)
     vtilde = dual.value
     assert vtilde >= vbar, "partition value exceeded the LP value"

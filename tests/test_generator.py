@@ -1,7 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from matchkit import io
 from matchkit import (
     build_hypergraph,
     check_balanced,
@@ -20,6 +22,15 @@ from matchkit.generator import (
 )
 
 F = Fraction
+
+SUITE_PARAMS = dict(
+    firm_count=4,
+    worker_count=6,
+    max_acceptable_sets_per_firm=3,
+    max_set_size=3,
+    value_range=(F(0), F(10)),
+    acceptability_density=0.85,
+)
 
 
 class TestSplitMix64:
@@ -145,3 +156,62 @@ class TestRoadmapInstances:
             assert check_specialized(market, rm).specialized
             assert check_balanced(build_hypergraph(market)).balanced
         assert produced >= 50
+
+
+def _digest(*documents) -> str:
+    text = "".join(io.to_canonical_json(d) for d in documents)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestKnownAnswers:
+    """Generated corpora pinned bit for bit: SHA-256 of the canonical JSON
+    of each instance (roadmap first, then market, where there is one)."""
+
+    @pytest.mark.parametrize(
+        "seed, params, digest",
+        [
+            (0, SUITE_PARAMS, "8923adc3cc12d16a340103a6fbb4133f02ed576c7cfdf44adcdd4568067ee6c6"),
+            (1, SUITE_PARAMS, "8f454f5877eb0173acc33f644212e5f301831c6ce3cc9dd2c4859b0946d03d63"),
+            (2, SUITE_PARAMS, "52b454f7c3c71f309812a5eedeb5076457a7f4534abea773fb845ce6c6eebaf6"),
+            (5, {}, "fc5fb0936a2e1e2dd20ebdc3f95f6a58f112b960ce0be2c8b08434569fc9c2f5"),
+        ],
+    )
+    def test_tu_market(self, seed, params, digest):
+        m = gen_tu_market(GenParams(seed=seed, **params))
+        assert _digest(io.serialize_market(m)) == digest
+
+    @pytest.mark.parametrize(
+        "seed, params, digest",
+        [
+            (0, SUITE_PARAMS, "36d6163d00b880350a21c7b7c4dad61ad73ec8154fd23c6374627e35017c45ba"),
+            (1, SUITE_PARAMS, "28eef7c20e72c38239e5239aed8c6f1f33abad0c793a50ba62bb032c03a92f07"),
+            (3, SUITE_PARAMS, "26b6fc2fcfb49de5078ea695d741aa9f44ef26479f21eefa87007dc562ab3e85"),
+            (5, {}, "a01ffb6e46f6305ae31a389618f72e90e87fde934c690f925b935859dc59f1ab"),
+        ],
+    )
+    def test_discrete_market(self, seed, params, digest):
+        m = gen_discrete_market(GenParams(seed=seed, **params))
+        assert _digest(io.serialize_market(m)) == digest
+
+    @pytest.mark.parametrize(
+        "seed, kind, params, digest",
+        [
+            (0, "tu", SUITE_PARAMS, "f8f0f378eaf3de7a0605200b3e81c9cf6770275d9d44788d64d6bedc5b2adf7d"),
+            (0, "discrete", SUITE_PARAMS, "f9dd69f81f777141910f2a7f7c686808011ff56bf10ed78feec8731eeab72e09"),
+            (2, "discrete", SUITE_PARAMS, "222c547cff92c5a78b98293955e322b1cccf179569a45f67624d9236d41a81b6"),
+            (7, "tu", SUITE_PARAMS, "c6aebc3a4ecc7db7ba59eae925013758f1a7d8198a492e68ddd4214281768da8"),
+            (
+                11,
+                "tu",
+                dict(firm_count=2, worker_count=5),
+                "b9b026db859de470cb126e14c25528f7302d00b00ed0b81b7579d59a6156dcb3",
+            ),
+        ],
+    )
+    def test_roadmap_instance(self, seed, kind, params, digest):
+        rm, m = gen_roadmap_instance(GenParams(seed=seed, **params), kind=kind)
+        assert _digest(io.serialize_roadmap(rm), io.serialize_market(m)) == digest
+
+    def test_roadmap_retry_failure(self):
+        with pytest.raises(ValueError, match="no disjoint path found for f4"):
+            gen_roadmap_instance(GenParams(seed=1, **SUITE_PARAMS), kind="tu")

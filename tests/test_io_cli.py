@@ -114,6 +114,20 @@ class TestCmdBalance:
         code = main(["balance", fixture("example1_tu.json"), "--budget", "2"])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-tu", fixture("example1_tu.json")],
+            ["solve-discrete", fixture("marriage.json")],
+            ["solve-discrete", fixture("marriage.json"), "--first"],
+            ["roadmap", fixture("example4_roadmap.json"), fixture("profile13.json")],
+        ],
+    )
+    def test_every_search_honours_the_budget(self, argv, capsys):
+        assert main([*argv, "--budget", "2"]) == 3
+        assert "budget exhausted" in capsys.readouterr().err
+        assert main(argv) in (0, 1)
+
 
 class TestCmdSolveTu:
     def test_intro_unstable_with_certificate(self, capsys):

@@ -13,8 +13,9 @@ from matchkit import (
     tu_utilities,
     validate_market,
 )
+from matchkit.errors import WorkBudgetExceeded
 from matchkit.generator import GenParams, gen_discrete_market
-from matchkit.model import set_key
+from matchkit.model import _Budget, iter_disjoint_assignments, set_key
 
 fs = frozenset
 
@@ -222,3 +223,39 @@ def test_matchings_expose_induced_sets():
     assert mu.workers_of("f1") == fs({"w1", "w2"})
     assert mu.firm_of("w3") is None
     assert mu.price("w2") == 0
+
+
+class TestDisjointAssignments:
+    def test_depth_first_order_last_slot_fastest(self):
+        options = [
+            [(fs(), "a0"), (fs({"x"}), "a1")],
+            [(fs(), "b0"), (fs({"x"}), "b1"), (fs({"y"}), "b2")],
+        ]
+        got = list(iter_disjoint_assignments(options, _Budget(100, "test")))
+        # (a1, b1) is left out: both take x.
+        assert got == [
+            ("a0", "b0"),
+            ("a0", "b1"),
+            ("a0", "b2"),
+            ("a1", "b0"),
+            ("a1", "b2"),
+        ]
+
+    def test_no_slots_yield_one_empty_choice(self):
+        assert list(iter_disjoint_assignments([], _Budget(0, "test"))) == [()]
+
+    def test_empty_slot_yields_nothing(self):
+        options = [[(fs(), "a0")], []]
+        assert list(iter_disjoint_assignments(options, _Budget(100, "test"))) == []
+
+    def test_one_budget_step_per_option_placed(self):
+        options = [[(fs(), 0), (fs({"x"}), 1)], [(fs(), 0), (fs({"x"}), 1)]]
+        budget = _Budget(100, "test")
+        assert len(list(iter_disjoint_assignments(options, budget))) == 3
+        # Two first-slot placements, three second-slot ones.
+        assert budget.left == 100 - 5
+
+    def test_budget_exhaustion_raises(self):
+        options = [[(fs(), 0), (fs({"x"}), 1)]] * 3
+        with pytest.raises(WorkBudgetExceeded, match="test budget exhausted"):
+            list(iter_disjoint_assignments(options, _Budget(4, "test")))

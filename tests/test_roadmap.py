@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from matchkit import (
@@ -9,9 +12,41 @@ from matchkit import (
     validate_roadmap,
     worker_subgraph,
 )
+from matchkit.errors import WorkBudgetExceeded
+from matchkit.generator import GenParams, gen_roadmap_instance
 from matchkit.roadmap import iter_specializations, technology_paths
 
 fs = frozenset
+
+SUITE_PARAMS = dict(
+    firm_count=4,
+    worker_count=6,
+    max_acceptable_sets_per_firm=3,
+    max_set_size=3,
+    value_range=(Fraction(0), Fraction(10)),
+    acceptability_density=0.85,
+)
+
+
+def specialization_oracle(m, r):
+    """Every specialization by brute force: itertools.product over the
+    covering paths of each firm with acceptable sets, keeping the pairwise
+    vertex-disjoint combinations in product order."""
+    firms = [f for f in sorted(m.firms) if m.acceptable_sets(f)]
+    covering = [
+        [
+            p
+            for p in technology_paths(r)
+            if set(m.acceptable_sets(f)) <= {r.demanded[v] for v in p.vertices}
+        ]
+        for f in firms
+    ]
+    out = []
+    for combo in product(*covering):
+        vertices = [v for p in combo for v in p.vertices]
+        if len(vertices) == len(set(vertices)):
+            out.append(dict(zip(firms, combo)))
+    return out
 
 
 @pytest.fixture
@@ -155,6 +190,29 @@ class TestCheckSpecialized:
                     assert any(
                         roadmap_example4.demanded[v] == s for v in path.vertices
                     )
+
+    def test_budget(self, profile13, roadmap_example4):
+        with pytest.raises(WorkBudgetExceeded, match="specialization search"):
+            check_specialized(profile13, roadmap_example4, budget=1)
+        with pytest.raises(WorkBudgetExceeded):
+            theorem3_report(profile13, roadmap_example4, budget=1)
+
+    def test_agrees_with_product_oracle(self):
+        for kind in ("tu", "discrete"):
+            instances = []
+            for seed in range(150):
+                params = GenParams(seed=seed, **SUITE_PARAMS)
+                try:
+                    instances.append(gen_roadmap_instance(params, kind=kind))
+                except ValueError:
+                    continue
+            assert len(instances) >= 60
+            # Each roadmap with its own market, and with the next instance's
+            # market, which often leaves a firm uncovered or the covers clashing.
+            for (rm, m), (_, other) in zip(instances, instances[1:] + instances[:1]):
+                for market in (m, other):
+                    got = list(iter_specializations(market, rm))
+                    assert got == specialization_oracle(market, rm)
 
     def test_firm_without_acceptable_sets_unconstrained(self, roadmap_example4):
         m = DiscreteMarket(

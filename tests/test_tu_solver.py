@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,12 +14,47 @@ from matchkit import (
     potential_coalitions,
     solve_lp,
 )
-from matchkit.errors import SizeGuardExceeded
+from matchkit.errors import SizeGuardExceeded, WorkBudgetExceeded
 from matchkit.generator import GenParams, gen_tu_market
 from matchkit.model import SizeGuard
 
 F = Fraction
 fs = frozenset
+
+SUITE_PARAMS = dict(
+    firm_count=4,
+    worker_count=6,
+    max_acceptable_sets_per_firm=3,
+    max_set_size=3,
+    value_range=(F(0), F(10)),
+    acceptability_density=0.85,
+)
+
+
+def partition_oracle(m: TuMarket):
+    """Best partition by brute force: itertools.product over each firm's
+    options (unmatched, then its acceptable sets whose workers all accept it,
+    in sorted-member order), keeping disjoint combinations in product order
+    and the first one of greatest total."""
+    firms = sorted(m.firms)
+    options = []
+    for f in firms:
+        opts = [(fs(), F(0))]
+        for s in sorted(m.firm_valuations.get(f, {}), key=sorted):
+            if all(f in m.worker_valuations.get(w, {}) for w in s):
+                value = m.firm_valuations[f][s]
+                value += sum(m.worker_valuations[w][f] for w in s)
+                opts.append((s, value))
+        options.append(opts)
+    best = None
+    for combo in product(*options):
+        sets = [s for s, _ in combo]
+        if sum(map(len, sets)) != len(fs().union(*sets)):
+            continue
+        total = sum(v for _, v in combo)
+        if best is None or total > best[0]:
+            best = (total, dict(zip(firms, sets)))
+    return best
 
 
 class TestPotentialCoalitions:
@@ -75,6 +111,17 @@ class TestMaxPartitionValue:
     def test_guard(self, intro_tu):
         with pytest.raises(SizeGuardExceeded):
             max_partition_value(intro_tu, guard=SizeGuard(max_firms=1))
+
+    def test_budget(self, example1_tu):
+        with pytest.raises(WorkBudgetExceeded, match="partition search"):
+            max_partition_value(example1_tu, budget=2)
+        with pytest.raises(WorkBudgetExceeded):
+            find_stable_matching_tu(example1_tu, budget=2)
+
+    def test_agrees_with_product_oracle(self):
+        for seed in range(250):
+            m = gen_tu_market(GenParams(seed=seed, **SUITE_PARAMS))
+            assert max_partition_value(m) == partition_oracle(m), f"seed {seed}"
 
 
 class TestSolveLp:
