@@ -23,6 +23,7 @@ from .discrete_solver import (
     run_blocking_dynamics,
 )
 from .errors import (
+    CertificateError,
     InvalidMarketError,
     MarketFormatError,
     MatchkitError,

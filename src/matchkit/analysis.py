@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import SizeGuardExceeded
+from .errors import CertificateError, SizeGuardExceeded
 from .hypergraph import (
     HyperCycle,
     IntMatrix,
@@ -268,9 +268,11 @@ def tu_cycle_certificate(m: DiscreteMarket, c: HyperCycle) -> IntMatrix:
         ),
     )
     n_rows, n_cols = result.shape
-    assert n_rows == n_cols, "certificate matrix is not square"
+    if n_rows != n_cols:
+        raise CertificateError(f"certificate matrix {n_rows}x{n_cols} is not square")
     det = bareiss_determinant([list(row) for row in result.entries])
-    assert abs(det) == 2, f"certificate determinant {det}, expected |det| = 2"
+    if abs(det) != 2:
+        raise CertificateError(f"certificate determinant {det}, expected |det| = 2")
     return result
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: balance, solve-tu, solve-discrete, analyze, roadmap, gen.
 Exit codes are the process-level contract: 0 = positive verdict, 1 =
-negative verdict, 2 = input/guard error, 3 = work budget exhausted.  Both
+negative verdict, 2 = input/guard error, 3 = work budget exhausted, 4 = a
+result failed its own certificate (an internal fault).  Both
 output renderings (human default, ``--format json``) are produced from one
 fact dictionary, so they always carry identical content.  The environment
 variable MATCHKIT_BUDGET overrides the default work budget of the exhaustive
@@ -22,6 +23,7 @@ from pathlib import Path
 
 from . import analysis, discrete_solver, generator, hypergraph, io, roadmap, tu_solver
 from .errors import (
+    CertificateError,
     InvalidMarketError,
     MarketFormatError,
     MatchkitError,
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _digest(path: str) -> str:
@@ -427,6 +430,9 @@ def main(argv=None) -> int:
     except (MarketFormatError, InvalidMarketError, SizeGuardExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except CertificateError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except MatchkitError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -19,3 +19,8 @@ class SizeGuardExceeded(MatchkitError):
 
 class WorkBudgetExceeded(MatchkitError):
     """A bounded search ran out of its work budget (not a verdict)."""
+
+
+class CertificateError(MatchkitError):
+    """A computed result failed its own certificate: an internal fault, never
+    a verdict about the input."""

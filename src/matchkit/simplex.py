@@ -2,25 +2,29 @@
 
 Solves  max c.x  subject to  A x <= b,  x >= 0  with Fraction arithmetic,
 Bland's smallest-index anti-cycling rule, and a phase-1 round (artificial
-variables) whenever some right-hand side is negative.  Every solve is
-certified before returning: primal feasibility, dual feasibility, and exact
-equality of the two objective values.
+variables) whenever some right-hand side is negative.  Tie-breaking
+objectives are then maximized in turn over the optimal face, in the same
+tableau: the lexicographic simplex of Dantzig, Orden & Wolfe (1955).  Every
+solve is certified before returning: primal feasibility, dual feasibility,
+and exact equality of the two objective values.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MatchkitError
+from .errors import CertificateError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class LpInternalError(MatchkitError):
+class LpInternalError(CertificateError):
     """Unbounded/infeasible programs cannot arise from well-formed markets;
-    hitting one means the caller built a bad program."""
+    hitting one, or failing a certificate, means the caller built a bad
+    program or the arithmetic went wrong."""
 
 
 @dataclass
@@ -31,9 +35,14 @@ class LpResult:
 
 
 def simplex_max(
-    c: list[Fraction], rows: list[list[Fraction]], rhs: list[Fraction]
+    c: list[Fraction],
+    rows: list[list[Fraction]],
+    rhs: list[Fraction],
+    ties: Sequence[list[Fraction]] = (),
 ) -> LpResult:
-    """Maximize c.x s.t. rows[i].x <= rhs[i] for all i, x >= 0."""
+    """Maximize c.x s.t. rows[i].x <= rhs[i] for all i, x >= 0; then
+    maximize each objective in ``ties`` in turn over the points optimal for
+    all objectives before it.  ``value`` and ``duals`` belong to ``c``."""
     m, n = len(rows), len(c)
     c = [Fraction(v) for v in c]
     b = [Fraction(v) for v in rhs]
@@ -76,12 +85,12 @@ def simplex_max(
                 tab[i] = [a - factor * p for a, p in zip(row_i, prow)]
         basis[r] = col
 
-    def run(red: list[Fraction], allowed: int) -> None:
-        # Bland: entering = lowest-index column with positive reduced cost;
-        # leaving = min ratio, ties by lowest basic-variable index.
+    def run(red: list[Fraction], allowed: list[int]) -> None:
+        # Bland: entering = lowest-index allowed column with positive reduced
+        # cost; leaving = min ratio, ties by lowest basic-variable index.
         while True:
             enter = -1
-            for j in range(allowed):
+            for j in allowed:
                 if red[j] > 0:
                     enter = j
                     break
@@ -103,20 +112,29 @@ def simplex_max(
             pivot(leave, enter)
             factor = red[enter]
             prow = tab[leave]
-            for j in range(allowed):
+            for j in allowed:
                 red[j] -= factor * prow[j]
+
+    def reduced(obj: list[Fraction]) -> list[Fraction]:
+        # Reduced costs of ``obj`` (zero on slacks) in the current basis.
+        red = [Fraction(v) for v in obj] + [ZERO] * (m + n_art)
+        for i in range(m):
+            factor = red[basis[i]]
+            if factor:
+                red = [a - factor * p for a, p in zip(red, tab[i])]
+        return red
+
+    allowed = list(range(n + m))
 
     if n_art:
         # Phase 1: drive the artificials (basic, cost -1) to zero.
         red1 = [ZERO] * width
-        infeas = ZERO
         for i in neg:
             for j in range(width):
                 red1[j] += tab[i][j]
-            infeas += tab[i][-1]
         for k in range(n_art):
             red1[n + m + k] = ZERO
-        run(red1, n + m)
+        run(red1, allowed)
         total = sum((tab[i][-1] for i in range(m) if basis[i] >= n + m), ZERO)
         if total != 0:
             raise LpInternalError("linear program is infeasible")
@@ -132,26 +150,31 @@ def simplex_max(
                     raise LpInternalError("degenerate artificial row")
 
     # Phase 2 on the real objective.
-    red = [Fraction(v) for v in c] + [ZERO] * (m + n_art)
-    for i in range(m):
-        if basis[i] < n and red[basis[i]] != 0:
-            factor = red[basis[i]]
-            prow = tab[i]
-            for j in range(n + m):
-                red[j] -= factor * prow[j]
-    run(red, n + m)
+    red = reduced(c)
+    run(red, allowed)
+    duals = [-red[n + i] for i in range(m)]
+    for obj in ties:
+        # A column with nonzero reduced cost would leave the optimal face:
+        # freeze it.  Pivots on the remaining columns leave the earlier
+        # objectives' reduced costs, hence ``duals``, unchanged.
+        allowed = [j for j in allowed if red[j] == 0]
+        red = reduced(obj)
+        run(red, allowed)
 
     x = [ZERO] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = tab[i][-1]
-    duals = [-red[n + i] for i in range(m)]
-    value = sum((ci * xi for ci, xi in zip(c, x)), ZERO)
-    _certify(c, rows, b, x, duals, value)
+    value = certify(c, rows, b, x, duals)
     return LpResult(value=value, x=x, duals=duals)
 
 
-def _certify(c, rows, b, x, duals, value) -> None:
+def certify(c, rows, b, x, duals) -> Fraction:
+    """Return the common value of  max c.x  s.t.  rows.x <= b,  x >= 0  and
+    its dual  min b.y  s.t.  rows^T y >= c,  y >= 0  at the pair (x, duals),
+    or raise LpInternalError unless both points are feasible with equal
+    values.  Equal values make both optimal and imply complementary
+    slackness."""
     for xi in x:
         if xi < 0:
             raise LpInternalError("negative primal variable")
@@ -168,5 +191,7 @@ def _certify(c, rows, b, x, duals, value) -> None:
         col = sum((duals[i] * rows[i][j] for i in range(len(rows))), ZERO)
         if col < cj:
             raise LpInternalError("dual constraint violated")
+    value = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
     if dual_value != value:
         raise LpInternalError("duality gap at claimed optimum")
+    return value

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SizeGuardExceeded
+from .errors import CertificateError, SizeGuardExceeded
 from .model import (
     Coalition,
     DEFAULT_BUDGET,
@@ -30,9 +30,10 @@ from .model import (
     tu_utilities,
     validate_tu_matching,
 )
-from .simplex import simplex_max
+from .simplex import certify, simplex_max
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -144,15 +145,14 @@ def max_partition_value(
     return Fraction(best_total, scale), {f: s for f, (s, _) in zip(options, best)}
 
 
-def solve_lp(
-    problem: TuLpProblem, canonical: bool = True
-) -> tuple[dict[str, Fraction], DualSolution]:
+def solve_lp(problem: TuLpProblem) -> tuple[dict[str, Fraction], DualSolution]:
     """Exact optimal primal point and dual weights with equal values.
 
     The dual (coverage) program is solved by simplex starting from the
-    all-singletons basis; the primal point is read off the shadow prices
-    and, when ``canonical``, lexicographically minimized in agent order so
-    that reported prices are reproducible across optima.
+    all-singletons basis.  The primal point is the lexicographically least
+    optimal one in agent order, so that reported prices are reproducible
+    across optima; ``simplex.certify`` checks it against the coverage
+    weights.
     """
     agents = problem.agents
     idx = {a: i for i, a in enumerate(agents)}
@@ -162,15 +162,13 @@ def solve_lp(
     cols = [[ZERO] * n_rows for _ in firm_cols]
     for j, (c, _) in enumerate(firm_cols):
         for a in c.members():
-            cols[j][idx[a]] = Fraction(1)
+            cols[j][idx[a]] = ONE
     rows = [[cols[j][i] for j in range(len(firm_cols))] for i in range(n_rows)]
-    rhs = [Fraction(1)] * n_rows
+    rhs = [ONE] * n_rows
     objective = [v for _, v in firm_cols]
     result = simplex_max(objective, rows, rhs)
-
-    x = result.duals
-    if canonical:
-        x = _lex_min_primal(problem, firm_cols, result.value, x)
+    x = _lex_min_primal(rows, objective)
+    certify(objective, rows, rhs, result.x, x)
 
     weights: dict[Coalition, Fraction] = {}
     coverage = [ZERO] * n_rows
@@ -182,75 +180,21 @@ def solve_lp(
     for c in problem.coalitions:
         if c.is_singleton:
             (a,) = c.members()
-            slack = Fraction(1) - coverage[idx[a]]
+            slack = ONE - coverage[idx[a]]
             if slack != 0:
                 weights[c] = slack
     dual = DualSolution(weights=weights, value=result.value)
-    _check_lp_consistency(problem, x, dual)
     return {a: x[i] for a, i in idx.items()}, dual
 
 
-def _lex_min_primal(problem, firm_cols, vtilde, x0):
-    """Among optimal primal points, take the lexicographically smallest in
-    agent order, fixing one coordinate at a time (a coordinate already at
-    zero needs no solve: zero is its floor)."""
-    n = len(problem.agents)
-    idx = {a: i for i, a in enumerate(problem.agents)}
-    base_rows = []
-    base_rhs = []
-    for c, v in firm_cols:
-        row = [ZERO] * n
-        for a in c.members():
-            row[idx[a]] = Fraction(-1)
-        base_rows.append(row)
-        base_rhs.append(-v)
-    base_rows.append([Fraction(1)] * n)
-    base_rhs.append(vtilde)
-
-    current = list(x0)
-    fixed: list[Fraction | None] = [None] * n
-    for i in range(n):
-        if current[i] == 0:
-            fixed[i] = ZERO
-            continue
-        rows = [list(r) for r in base_rows]
-        rhs = list(base_rhs)
-        for j in range(i):
-            unit = [ZERO] * n
-            unit[j] = Fraction(1)
-            rows.append(unit)
-            rhs.append(fixed[j])
-            rows.append([-v for v in unit])
-            rhs.append(-fixed[j])
-        objective = [ZERO] * n
-        objective[i] = Fraction(-1)
-        res = simplex_max(objective, rows, rhs)
-        current = res.x
-        fixed[i] = current[i]
-    return current
-
-
-def _check_lp_consistency(problem, x, dual) -> None:
-    """Internal exactness checks: equal objective values, complementary
-    slackness both ways, unit coverage."""
-    idx = {a: i for i, a in enumerate(problem.agents)}
-    total = sum(x, ZERO)
-    assert total == dual.value, "primal/dual value mismatch"
-    coverage = {a: ZERO for a in problem.agents}
-    for c, w in dual.weights.items():
-        assert w >= 0
-        for a in c.members():
-            coverage[a] += w
-        hat = sum((x[idx[a]] for a in c.members()), ZERO)
-        value = (
-            problem.values[problem.coalitions.index(c)]
-            if c in problem.coalitions
-            else ZERO
-        )
-        if w > 0:
-            assert hat == value, "positive weight on a slack coalition"
-    for a in problem.agents:
-        assert coverage[a] == 1, "coverage is not exactly one"
+def _lex_min_primal(rows, objective):
+    """The lexicographically least optimal point of  min sum x  s.t.
+    rows^T x >= objective,  x >= 0: minimize the sum, then x_1, x_2, ...
+    over the optimal face, in one simplex tableau."""
+    n = len(rows)
+    primal = [[-r[j] for r in rows] for j in range(len(objective))]
+    ties = [[-ONE if k == i else ZERO for k in range(n)] for i in range(n)]
+    return simplex_max([-ONE] * n, primal, [-v for v in objective], ties).x
 
 
 def check_stable_tu(m: TuMarket, mu: TuMatching) -> TuStabilityVerdict:
@@ -308,7 +252,6 @@ def check_stable_tu(m: TuMarket, mu: TuMatching) -> TuStabilityVerdict:
 def find_stable_matching_tu(
     m: TuMarket,
     guard: SizeGuard = DEFAULT_GUARD,
-    canonical_prices: bool = True,
     budget: int = DEFAULT_BUDGET,
 ) -> TuStabilityReport:
     """Decide stable-matching existence: stable with (mu, p) when the LP
@@ -317,9 +260,10 @@ def find_stable_matching_tu(
     ``budget`` steps."""
     problem = build_lp_problem(m, guard)
     vbar, partition = max_partition_value(m, guard, budget)
-    x, dual = solve_lp(problem, canonical=canonical_prices)
+    x, dual = solve_lp(problem)
     vtilde = dual.value
-    assert vtilde >= vbar, "partition value exceeded the LP value"
+    if vtilde < vbar:
+        raise CertificateError("partition value exceeded the LP value")
 
     if vtilde > vbar:
         return TuStabilityReport(
@@ -339,14 +283,18 @@ def find_stable_matching_tu(
             assignment[w] = f
             prices[w] = x[w] - m.worker_value(w, f)
     for w in m.workers:
-        if w not in assignment:
-            assert x[w] == 0, f"unmatched worker {w!r} with positive LP value"
+        if w not in assignment and x[w] != 0:
+            raise CertificateError(f"unmatched worker {w!r} with positive LP value")
     for f, staff in partition.items():
         implied = m.firm_value(f, staff) - sum((prices[w] for w in staff), ZERO)
-        assert implied == x[f], f"firm {f!r} value inconsistent with binding coalition"
+        if implied != x[f]:
+            raise CertificateError(
+                f"firm {f!r} value inconsistent with binding coalition"
+            )
     matching = TuMatching(assignment=assignment, prices=prices)
     verdict = check_stable_tu(m, matching)
-    assert verdict.stable, f"constructed matching unstable: {verdict.violations}"
+    if not verdict.stable:
+        raise CertificateError(f"constructed matching unstable: {verdict.violations}")
     return TuStabilityReport(
         lp_value=vtilde,
         partition_value=vbar,

@@ -236,7 +236,7 @@ def test_criterion_13_lp_self_consistency():
             if w > 0:
                 held = sum((x[a] for a in c.members()), F(0))
                 assert held == values[c]
-        rep = find_stable_matching_tu(m, canonical_prices=False)
+        rep = find_stable_matching_tu(m)
         assert rep.partition_value <= rep.lp_value
     ok(13, "LP: primal equals dual exactly, slackness holds, partition never exceeds LP")
 

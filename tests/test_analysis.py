@@ -14,7 +14,8 @@ from matchkit import (
     tu_cycle_certificate,
 )
 from matchkit.analysis import bareiss_determinant
-from matchkit.errors import SizeGuardExceeded
+from matchkit import analysis
+from matchkit.errors import CertificateError, SizeGuardExceeded
 from matchkit.generator import GenParams, SplitMix64, gen_discrete_market
 
 fs = frozenset
@@ -191,6 +192,12 @@ class TestCertificate:
         assert witness is not None
         with pytest.raises(ValueError):
             tu_cycle_certificate(example3_discrete, witness)
+
+    def test_wrong_determinant_raises_certificate_error(self, market1, monkeypatch):
+        witness = prop1_check(market1).witness
+        monkeypatch.setattr(analysis, "bareiss_determinant", lambda rows: 1)
+        with pytest.raises(CertificateError, match="determinant 1"):
+            tu_cycle_certificate(market1, witness)
 
     def test_determinant_two_on_random_qualifying_cycles(self):
         seen = 0

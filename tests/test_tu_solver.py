@@ -1,8 +1,12 @@
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import matchkit
 from matchkit import (
     Coalition,
     TuMarket,
@@ -14,9 +18,12 @@ from matchkit import (
     potential_coalitions,
     solve_lp,
 )
-from matchkit.errors import SizeGuardExceeded, WorkBudgetExceeded
-from matchkit.generator import GenParams, gen_tu_market
+from matchkit import tu_solver
+from matchkit.errors import CertificateError, SizeGuardExceeded, WorkBudgetExceeded
+from matchkit.generator import GenParams, SplitMix64, gen_tu_market
+from matchkit.io import load_market
 from matchkit.model import SizeGuard
+from matchkit.simplex import simplex_max
 
 F = Fraction
 fs = frozenset
@@ -55,6 +62,60 @@ def partition_oracle(m: TuMarket):
         if best is None or total > best[0]:
             best = (total, dict(zip(firms, sets)))
     return best
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def lex_min_oracle(problem):
+    """Reference lexicographically least optimal primal point, by the
+    per-coordinate method: solve the coverage program, then for each agent
+    in order minimize its coordinate over the optimal points with the
+    earlier coordinates held at their minima, one rebuilt program per agent
+    (a coordinate already at zero needs no solve: zero is its floor)."""
+    n = len(problem.agents)
+    idx = {a: i for i, a in enumerate(problem.agents)}
+    firm_cols = problem.firm_coalitions()
+    cover = [[F(int(a in c.members())) for c, _ in firm_cols] for a in problem.agents]
+    lp = simplex_max([v for _, v in firm_cols], cover, [F(1)] * n)
+    base_rows, base_rhs = [], []
+    for c, v in firm_cols:
+        row = [F(0)] * n
+        for a in c.members():
+            row[idx[a]] = F(-1)
+        base_rows.append(row)
+        base_rhs.append(-v)
+    base_rows.append([F(1)] * n)
+    base_rhs.append(lp.value)
+
+    current = list(lp.duals)
+    fixed = [None] * n
+    for i in range(n):
+        if current[i] == 0:
+            fixed[i] = F(0)
+            continue
+        rows, rhs = [list(r) for r in base_rows], list(base_rhs)
+        for j in range(i):
+            unit = [F(int(k == j)) for k in range(n)]
+            rows += [unit, [-v for v in unit]]
+            rhs += [fixed[j], -fixed[j]]
+        objective = [F(-int(k == i)) for k in range(n)]
+        current = simplex_max(objective, rows, rhs).x
+        fixed[i] = current[i]
+    return {a: current[i] for a, i in idx.items()}
+
+
+def assignment_game(n_firms, n_workers, seed):
+    """Complete assignment game: every firm values every single worker."""
+    rng = SplitMix64(seed)
+    firms = [f"f{i}" for i in range(1, n_firms + 1)]
+    workers = [f"w{i}" for i in range(1, n_workers + 1)]
+    return TuMarket(
+        firms=set(firms),
+        workers=set(workers),
+        firm_valuations={f: {fs({w}): F(rng.randint(0, 10)) for w in workers} for f in firms},
+        worker_valuations={w: {f: F(rng.randint(0, 3)) for f in firms} for w in workers},
+    )
 
 
 class TestPotentialCoalitions:
@@ -225,7 +286,7 @@ class TestSolverProperties:
     def test_lp_value_dominates_partition_value(self):
         for seed in range(60):
             m = gen_tu_market(GenParams(seed=seed, firm_count=3, worker_count=4))
-            rep = find_stable_matching_tu(m, canonical_prices=False)
+            rep = find_stable_matching_tu(m)
             assert rep.lp_value >= rep.partition_value
 
     def test_soundness_both_ways(self):
@@ -284,3 +345,83 @@ class TestSolverProperties:
                 matched = set(rep.matching.assignment)
                 for w in m.workers - matched:
                     assert rep.lp_primal[w] == 0
+
+
+class TestLexMinAgainstOracle:
+    """The one-tableau lexicographic minimum equals the per-coordinate
+    reference point, so prices are unchanged."""
+
+    @staticmethod
+    def check(m):
+        rep = find_stable_matching_tu(m)
+        ref = lex_min_oracle(build_lp_problem(m))
+        assert rep.lp_primal == ref
+        if rep.stable:
+            assert rep.matching.prices == {
+                w: ref[w] - m.worker_value(w, f)
+                for w, f in rep.matching.assignment.items()
+            }
+        return rep.stable
+
+    def test_suite_markets(self):
+        verdicts = {self.check(gen_tu_market(GenParams(seed=seed, **SUITE_PARAMS)))
+                    for seed in range(250)}
+        assert verdicts == {True, False}
+
+    def test_complete_assignment_games(self):
+        for shape in ((3, 5), (4, 4)):
+            for seed in range(8):
+                self.check(assignment_game(*shape, seed))
+
+    def test_fixtures(self):
+        paths = sorted(FIXTURES.glob("*_tu.json"))
+        assert len(paths) == 3
+        for path in paths:
+            self.check(load_market(str(path)))
+
+
+class TestCertificateErrors:
+    def test_partition_above_lp_value(self, intro_tu, monkeypatch):
+        monkeypatch.setattr(
+            tu_solver, "max_partition_value", lambda *args: (F(8), {"f1": fs(), "f2": fs()})
+        )
+        with pytest.raises(CertificateError, match="exceeded the LP value"):
+            find_stable_matching_tu(intro_tu)
+
+    # Runs under ``python -O``, which strips ``assert``: a wrong price vector
+    # must still be caught, and the CLI must report it as exit 4.
+    FAULTY_PRICES = """
+import sys
+from matchkit import cli, tu_solver
+from matchkit.errors import CertificateError
+from matchkit.io import load_market
+
+if __debug__:
+    sys.exit("expected python -O")
+honest = tu_solver._lex_min_primal
+tu_solver._lex_min_primal = lambda *args: [FAULT for v in honest(*args)]
+try:
+    tu_solver.find_stable_matching_tu(load_market(sys.argv[1]))
+    print("no error")
+except CertificateError as e:
+    print("CertificateError:", e)
+print("exit", cli.main(["solve-tu", sys.argv[1]]))
+"""
+
+    @pytest.mark.parametrize("fault", ["v + 1", "0 * v"])
+    @pytest.mark.parametrize("name", ["example1_tu.json", "intro_tu.json"])
+    def test_wrong_prices_raise_under_optimize(self, fault, name):
+        src = str(Path(matchkit.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", self.FAULTY_PRICES.replace("FAULT", fault),
+             str(FIXTURES / name)],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith("CertificateError:"), proc.stdout
+        assert lines[-1] == "exit 4"
+        assert "error:" in proc.stderr
