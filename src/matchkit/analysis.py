@@ -2,9 +2,10 @@
 
 A firm's demand type collects the difference vectors of chosen sets as the
 available pool expands; entries live in {-1,0,1}.  Total unimodularity of
-the union is tested exhaustively with exact integer determinants, and a
-qualifying nontrivial odd cycle is converted into an explicit square
-submatrix of demand vectors with |det| = 2.
+the union is tested with exact integer determinants of the Eulerian square
+submatrices only (Camion 1965), under the work budget, and a qualifying
+nontrivial odd cycle is converted into an explicit square submatrix of
+demand vectors with |det| = 2.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .model import (
     DEFAULT_GUARD,
     DiscreteMarket,
     SizeGuard,
+    _Budget,
     check_guard,
     choice,
     require_valid,
@@ -152,28 +154,57 @@ def bareiss_determinant(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def is_totally_unimodular(matrix: IntMatrix) -> TuVerdict:
-    """Exhaustive check of all square submatrices in increasing order,
-    lexicographic index order, stopping at the first determinant outside
-    {-1, 0, 1}."""
+def is_totally_unimodular(matrix: IntMatrix, budget: int = DEFAULT_BUDGET) -> TuVerdict:
+    """Search the square submatrices in increasing order, then lexicographic
+    row and column index order, stopping at the first determinant outside
+    {-1, 0, 1}.
+
+    Only Eulerian submatrices (an even number of nonzeros in every row and
+    every column) get a determinant.  At the smallest order k that has a bad
+    determinant, every proper submatrix of a bad k x k submatrix is totally
+    unimodular, and such a minimally non-totally-unimodular matrix is
+    Eulerian with |det| = 2 (Camion 1965; Schrijver, Theory of Linear and
+    Integer Programming, Ch. 19).  So the skipped submatrices all have
+    determinant in {-1, 0, 1} and the first bad submatrix is the one the
+    search over all submatrices would find.  Each row subset and each column
+    combination examined spends one budget step.
+    """
     r, c = matrix.shape
     if r > MAX_TU_DIM or c > MAX_TU_DIM:
         raise SizeGuardExceeded(f"matrix {r}x{c} exceeds {MAX_TU_DIM}x{MAX_TU_DIM}")
+    entries = matrix.entries
     for i in range(r):
         for j in range(c):
-            if matrix.entries[i][j] not in (-1, 0, 1):
+            if entries[i][j] not in (-1, 0, 1):
                 return TuVerdict(
                     totally_unimodular=False,
                     row_indices=(i,),
                     col_indices=(j,),
-                    determinant=matrix.entries[i][j],
+                    determinant=entries[i][j],
                 )
+    spend = _Budget(budget, "unimodularity test").spend
+    # Bit i of col_masks[j] is set when entry (i, j) is nonzero.
+    col_masks = [sum(1 << i for i in range(r) if entries[i][j]) for j in range(c)]
     for k in range(2, min(r, c) + 1):
         for rows in combinations(range(r), k):
-            for cols in combinations(range(c), k):
-                det = bareiss_determinant(
-                    [[matrix.entries[i][j] for j in cols] for i in rows]
-                )
+            spend()
+            row_mask = sum(1 << i for i in rows)
+            kept = []
+            for j, mask in enumerate(col_masks):
+                mask &= row_mask
+                if mask and not mask.bit_count() & 1:
+                    kept.append((j, mask))
+            for combo in combinations(kept, k):
+                spend()
+                odd = cover = 0
+                for _, mask in combo:
+                    odd ^= mask
+                    cover |= mask
+                # An odd row is not Eulerian; an all-zero row gives det 0.
+                if odd or cover != row_mask:
+                    continue
+                cols = tuple(j for j, _ in combo)
+                det = bareiss_determinant([[entries[i][j] for j in cols] for i in rows])
                 if det not in (-1, 0, 1):
                     return TuVerdict(
                         totally_unimodular=False,
@@ -285,7 +316,7 @@ def prop2_relation(
     cycle condition; a totally unimodular demand type with a qualifying
     cycle would falsify the implication and is flagged."""
     dt = demand_type(m, guard)
-    tu = is_totally_unimodular(dt.matrix())
+    tu = is_totally_unimodular(dt.matrix(), budget)
     p1 = prop1_check(m, guard, budget)
     consistent = not (tu.totally_unimodular and not p1.guaranteed)
     return Prop2Report(tu_verdict=tu, prop1=p1, consistent=consistent)

@@ -7,12 +7,14 @@ result failed its own certificate (an internal fault).  Both
 output renderings (human default, ``--format json``) are produced from one
 fact dictionary, so they always carry identical content.  The environment
 variable MATCHKIT_BUDGET overrides the default work budget of the exhaustive
-searches when no ``--budget`` flag is given.
+searches when no ``--budget`` flag is given; it is read on every ``main``
+call, while the argument parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -266,7 +268,7 @@ def cmd_analyze(args) -> int:
                 },
             }
         if run_all or args.tu_check:
-            verdict = analysis.is_totally_unimodular(dt.matrix())
+            verdict = analysis.is_totally_unimodular(dt.matrix(), budget=args.budget)
             facts["tu_check"] = {
                 "totally_unimodular": verdict.totally_unimodular,
                 "rows": list(verdict.row_indices) if verdict.row_indices else None,
@@ -358,23 +360,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stable matchings in many-to-one markets via hypergraph balancedness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_budget = int(os.environ.get("MATCHKIT_BUDGET", hypergraph.DEFAULT_BUDGET))
 
     def common(p):
         p.add_argument("--format", choices=("human", "json"), default="human")
-        p.add_argument("--budget", type=int, default=default_budget)
+        # None: main reads MATCHKIT_BUDGET on each call.
+        p.add_argument("--budget", type=int, default=None)
 
     p = sub.add_parser("balance", help="decide hypergraph balancedness")
     p.add_argument("market")
     p.add_argument("--kind", choices=("tu", "discrete"))
     common(p)
-    p.set_defaults(func=cmd_balance)
 
     p = sub.add_parser("solve-tu", help="decide TU stability via LP duality")
     p.add_argument("market")
     p.add_argument("--emit", choices=("matching", "certificate", "lp"), default="matching")
     common(p)
-    p.set_defaults(func=cmd_solve_tu)
 
     p = sub.add_parser("solve-discrete", help="enumerate stable matchings / run dynamics")
     p.add_argument("market")
@@ -385,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start")
     p.add_argument("--max-steps", type=int, default=1000)
     common(p)
-    p.set_defaults(func=cmd_solve_discrete)
 
     p = sub.add_parser("analyze", help="cycle condition, demand types, unimodularity")
     p.add_argument("market")
@@ -394,13 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tu-check", dest="tu_check", action="store_true")
     p.add_argument("--certificate", action="store_true")
     common(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("roadmap", help="specialists / specialized / balanced")
     p.add_argument("roadmap")
     p.add_argument("market")
     common(p)
-    p.set_defaults(func=cmd_roadmap)
 
     p = sub.add_parser("gen", help="generate seeded instances")
     p.add_argument("kind", choices=("tu", "discrete", "roadmap"))
@@ -415,15 +412,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--roadmap-out")
     p.add_argument("--market-kind", choices=("tu", "discrete"), default="discrete")
-    p.set_defaults(func=cmd_gen)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if getattr(args, "budget", None) is None:
+        args.budget = int(os.environ.get("MATCHKIT_BUDGET", hypergraph.DEFAULT_BUDGET))
+    # The handler is looked up by name on each call, not bound in the cached
+    # parser, so a wrapper later installed on a cmd_* attribute still runs.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except WorkBudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET

@@ -8,7 +8,9 @@ exactly two cycle vertices.  A hypergraph with no such cycle is balanced.
 
 Balancedness is decided by exhaustive search over alternating sequences
 (desk-scale instances), with a work budget so a blown-up search surfaces as
-an error rather than a wrong verdict.
+an error rather than a wrong verdict.  When every edge has at most one
+worker the hypergraph is a bipartite graph and the odd-cycle search returns
+at once.
 """
 
 from __future__ import annotations
@@ -156,6 +158,12 @@ def _iter_cycles(
     mode, edges on the partial path are kept at exactly two path vertices:
     adding vertices never shrinks an intersection, so any excess is final.
     """
+    if odd_only and all(len(s) <= 1 for _, s in h.edges):
+        # Consecutive cycle vertices share an edge, so a cycle of length
+        # k >= 3 is a cycle of the 2-section graph.  With at most one worker
+        # per edge that graph joins firms to workers only: it is bipartite
+        # and has no odd cycle (assignment games, marriage markets).
+        return
     members = [h.edge_members(i) for i in range(len(h.edges))]
     members_sorted = [sorted(ms) for ms in members]
     by_vertex: dict[str, list[int]] = {v: [] for v in sorted(h.vertices)}

@@ -1,3 +1,5 @@
+import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -13,12 +15,22 @@ from matchkit import (
     prop2_relation,
     tu_cycle_certificate,
 )
-from matchkit.analysis import bareiss_determinant
+from matchkit.analysis import TuVerdict, bareiss_determinant
 from matchkit import analysis
-from matchkit.errors import CertificateError, SizeGuardExceeded
+from matchkit.errors import CertificateError, SizeGuardExceeded, WorkBudgetExceeded
 from matchkit.generator import GenParams, SplitMix64, gen_discrete_market
 
 fs = frozenset
+
+# The acceptance suite's generator parameters.
+SUITE_PARAMS = dict(
+    firm_count=4,
+    worker_count=6,
+    max_acceptable_sets_per_firm=3,
+    max_set_size=3,
+    value_range=(Fraction(0), Fraction(10)),
+    acceptability_density=0.85,
+)
 
 
 def cofactor_determinant(rows):
@@ -47,6 +59,44 @@ def tu_oracle(m: IntMatrix):
                 if cofactor_determinant(sub) not in (-1, 0, 1):
                     return False
     return True
+
+
+def exhaustive_tu_oracle(matrix: IntMatrix) -> TuVerdict:
+    """Reference for is_totally_unimodular: the Bareiss determinant of every
+    square submatrix, in increasing order and lexicographic index order."""
+    r, c = matrix.shape
+    for i in range(r):
+        for j in range(c):
+            if matrix.entries[i][j] not in (-1, 0, 1):
+                return TuVerdict(False, (i,), (j,), matrix.entries[i][j])
+    for k in range(2, min(r, c) + 1):
+        for rows in combinations(range(r), k):
+            for cols in combinations(range(c), k):
+                det = bareiss_determinant(
+                    [[matrix.entries[i][j] for j in cols] for i in rows]
+                )
+                if det not in (-1, 0, 1):
+                    return TuVerdict(False, rows, cols, det)
+    return TuVerdict(True)
+
+
+def banded(r: int, c: int, width: int, signed: bool = False) -> IntMatrix:
+    """Interval matrix: column j has `width` consecutive nonzero rows, the
+    band sliding down as j grows.  Unsigned, it is totally unimodular, so
+    the search cannot stop early."""
+    entries = []
+    for i in range(r):
+        row = []
+        for j in range(c):
+            start = j * (r - width) // max(c - 1, 1)
+            sign = -1 if signed and (i + j) % 3 == 0 else 1
+            row.append(sign if start <= i < start + width else 0)
+        entries.append(tuple(row))
+    return IntMatrix(
+        rows=tuple(f"r{i}" for i in range(r)),
+        cols=tuple(f"c{j}" for j in range(c)),
+        entries=tuple(entries),
+    )
 
 
 def matrix_of(columns):
@@ -131,6 +181,94 @@ class TestTotallyUnimodular:
             if is_totally_unimodular(m).totally_unimodular != tu_oracle(m):
                 disagreements += 1
         assert disagreements == 0
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_eulerian_submatrix_with_four_nonzeros_in_a_line(self, transpose):
+        # Minimally non-totally-unimodular: every proper submatrix is fine,
+        # and the last column (row, transposed) has four nonzeros.
+        rows = [(-1, 0, 0, -1), (1, 1, -1, 1), (0, 0, -1, 1), (0, 1, 0, 1)]
+        if transpose:
+            rows = list(zip(*rows))
+        m = matrix_of(list(zip(*rows)))
+        verdict = is_totally_unimodular(m)
+        assert verdict == exhaustive_tu_oracle(m)
+        assert verdict.row_indices == verdict.col_indices == (0, 1, 2, 3)
+        assert abs(verdict.determinant) == 2
+
+    def test_agrees_with_exhaustive_search_on_random_sign_matrices(self):
+        rng = SplitMix64(2024)
+        non_tu = 0
+        for n in range(2000):
+            r, c = rng.randint(1, 6), rng.randint(1, 9)
+            density = (3, 5, 7, 10)[n % 4]
+            m = IntMatrix(
+                rows=tuple(f"r{i}" for i in range(r)),
+                cols=tuple(f"c{j}" for j in range(c)),
+                entries=tuple(
+                    tuple(
+                        (2 * rng.randint(0, 1) - 1) if rng.randint(0, 9) < density else 0
+                        for _ in range(c)
+                    )
+                    for _ in range(r)
+                ),
+            )
+            verdict = is_totally_unimodular(m)
+            assert verdict == exhaustive_tu_oracle(m), m.entries
+            non_tu += not verdict.totally_unimodular
+        assert 400 <= non_tu <= 1600
+
+    def test_agrees_with_exhaustive_search_on_demand_matrices(self):
+        non_tu = 0
+        for seed in range(300):
+            m = gen_discrete_market(GenParams(seed=seed, **SUITE_PARAMS))
+            matrix = demand_type(m).matrix()
+            verdict = is_totally_unimodular(matrix)
+            assert verdict == exhaustive_tu_oracle(matrix), seed
+            non_tu += not verdict.totally_unimodular
+        assert 50 <= non_tu <= 250
+
+    @pytest.mark.parametrize(
+        "shape", [(4, 6), (6, 8), (8, 10), (9, 12)], ids=lambda s: "%dx%d" % s
+    )
+    def test_agrees_with_exhaustive_search_on_banded_matrices(self, shape):
+        for width in (2, 3) if shape != (9, 12) else (3,):
+            for signed in (False, True):
+                m = banded(*shape, width, signed)
+                assert is_totally_unimodular(m) == exhaustive_tu_oracle(m)
+        assert is_totally_unimodular(banded(*shape, 3)).totally_unimodular
+
+    def test_determinants_only_of_eulerian_submatrices(self, monkeypatch):
+        seen = []
+
+        def record(rows):
+            seen.append(rows)
+            return bareiss_determinant(rows)
+
+        monkeypatch.setattr(analysis, "bareiss_determinant", record)
+        assert is_totally_unimodular(banded(8, 10, 3)).totally_unimodular
+        assert seen
+        for sub in seen:
+            for line in sub + [list(col) for col in zip(*sub)]:
+                count = sum(1 for x in line if x)
+                assert count and count % 2 == 0, sub
+
+    def test_budget_bounds_the_search(self):
+        started = time.perf_counter()
+        with pytest.raises(WorkBudgetExceeded, match="unimodularity test"):
+            is_totally_unimodular(banded(12, 24, 3), budget=10**5)
+        assert time.perf_counter() - started < 2.0
+
+    def test_row_subsets_spend_budget(self):
+        # No column has an even number of nonzeros in any row subset, so no
+        # column combination is ever examined; the row subsets alone must
+        # still exhaust the budget.
+        eye = matrix_of([tuple(int(i == j) for i in range(24)) for j in range(24)])
+        with pytest.raises(WorkBudgetExceeded):
+            is_totally_unimodular(eye, budget=1000)
+
+    def test_prop2_passes_its_budget(self, market1):
+        with pytest.raises(WorkBudgetExceeded, match="unimodularity test"):
+            prop2_relation(market1, budget=1)
 
     def test_bareiss_matches_cofactor(self):
         rng = SplitMix64(7)

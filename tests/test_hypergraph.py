@@ -1,4 +1,5 @@
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,13 @@ from matchkit import (
     is_cycle,
     is_nontrivial_odd,
 )
+from matchkit import DiscreteMarket, TuMarket, io
+from matchkit.cli import main
 from matchkit.errors import WorkBudgetExceeded
-from matchkit.generator import GenParams, gen_discrete_market, gen_tu_market
+from matchkit.generator import GenParams, SplitMix64, gen_discrete_market, gen_tu_market
+from matchkit.hypergraph import iter_cycles
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 fs = frozenset
 
@@ -239,6 +245,100 @@ class TestCheckBalanced:
                                           max_acceptable_sets_per_firm=4,
                                           max_set_size=1))
         assert check_balanced(build_hypergraph(m)).balanced
+
+
+def assignment_game(n_firms: int, n_workers: int, seed: int = 0) -> TuMarket:
+    """Complete assignment game: every firm values every single worker."""
+    rng = SplitMix64(seed)
+    firms = [f"f{i}" for i in range(n_firms)]
+    workers = [f"w{j}" for j in range(n_workers)]
+    return TuMarket(
+        firms=set(firms),
+        workers=set(workers),
+        firm_valuations={f: {fs({w}): rng.randint(1, 9) for w in workers} for f in firms},
+        worker_valuations={w: {f: rng.randint(0, 3) for f in firms} for w in workers},
+    )
+
+
+def marriage_market(n_firms: int, n_workers: int, seed: int = 0) -> DiscreteMarket:
+    """Complete marriage market: strict rankings over all single partners."""
+    rng = SplitMix64(seed)
+    firms = [f"f{i}" for i in range(n_firms)]
+    workers = [f"w{j}" for j in range(n_workers)]
+
+    def ranking(items):
+        items = list(items)
+        for i in range(len(items) - 1, 0, -1):
+            j = rng.randint(0, i)
+            items[i], items[j] = items[j], items[i]
+        return tuple(items)
+
+    return DiscreteMarket(
+        firms=set(firms),
+        workers=set(workers),
+        firm_prefs={f: ranking(fs({w}) for w in workers) for f in firms},
+        worker_prefs={w: ranking(firms) for w in workers},
+    )
+
+
+class TestBipartiteShortcut:
+    """With at most one worker per edge the hypergraph is a bipartite graph,
+    so the odd-cycle search yields nothing without searching."""
+
+    UNIT_DEMAND = [assignment_game(n, n, seed=n) for n in (3, 4, 5)] + [
+        marriage_market(2, 3, seed=1),
+        marriage_market(3, 3, seed=2),
+        marriage_market(4, 5, seed=3),
+    ]
+
+    @pytest.mark.parametrize("market", UNIT_DEMAND, ids=lambda m: f"{len(m.firms)}x{len(m.workers)}")
+    def test_agrees_with_the_full_search(self, market):
+        h = build_hypergraph(market)
+        # The search without odd_only takes no shortcut.
+        searched = list(iter_cycles(h))
+        assert searched
+        assert not [c for c in searched if len(c) % 2]
+        assert list(iter_cycles(h, odd_only=True, budget=0)) == []
+        assert list(iter_cycles(h, odd_only=True, nontrivial_only=True, budget=0)) == []
+        assert check_balanced(h, budget=0).balanced
+
+    def test_large_assignment_game_balance_needs_no_budget(self, tmp_path, capsys):
+        path = tmp_path / "game.json"
+        path.write_text(io.to_canonical_json(io.serialize_market(assignment_game(8, 12))))
+        assert main(["balance", str(path), "--budget", "1"]) == 0
+        assert "balanced: yes" in capsys.readouterr().out
+
+    def test_one_multi_worker_edge_still_searches(self, marriage):
+        prefs = dict(marriage.firm_prefs)
+        prefs["x1"] = (fs({"m1", "m2"}),) + prefs["x1"]
+        m = DiscreteMarket(
+            firms=marriage.firms,
+            workers=marriage.workers,
+            firm_prefs=prefs,
+            worker_prefs=marriage.worker_prefs,
+        )
+        with pytest.raises(WorkBudgetExceeded):
+            check_balanced(build_hypergraph(m), budget=0)
+
+    @pytest.mark.parametrize(
+        "name, witness",
+        [
+            ("appendixC_discrete.json", (("w1", "w2", "w3"), (0, 1, 2))),
+            ("appendixC_tu.json", (("w1", "w2", "w3"), (0, 1, 2))),
+            ("example1_tu.json", None),
+            ("example2_discrete.json", None),
+            ("example3_discrete.json", (("f2", "w1", "w2"), (1, 0, 3))),
+            ("intro_discrete.json", (("f2", "w1", "w2"), (1, 0, 2))),
+            ("intro_tu.json", (("f2", "w1", "w2"), (1, 0, 2))),
+            ("marriage.json", None),
+            ("profile13.json", None),
+        ],
+    )
+    def test_fixture_witnesses_unchanged(self, name, witness):
+        v = check_balanced(build_hypergraph(io.load_market(str(FIXTURES / name))))
+        assert v.balanced == (witness is None)
+        if witness is not None:
+            assert (v.witness.vertices, v.witness.edges) == witness
 
 
 class TestIncidence:

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from matchkit import DiscreteMatching, TuMatching
-from matchkit.cli import main
+from matchkit import cli
+from matchkit.cli import build_parser, main
 from matchkit.errors import MarketFormatError
 from matchkit.generator import GenParams, gen_discrete_market, gen_roadmap_instance, gen_tu_market
 from matchkit.io import (
@@ -236,6 +237,14 @@ class TestCmdAnalyze:
         cols = {tuple(row[j] for row in cert["entries"]) for j in range(2)}
         assert cols == {(1, 1), (1, -1)}
 
+    def test_tu_check_honours_the_budget(self, capsys):
+        # The demand type of this market takes two steps: one row subset and
+        # one column pair.
+        argv = ["analyze", fixture("intro_discrete.json"), "--tu-check"]
+        assert main([*argv, "--budget", "1"]) == 3
+        assert "unimodularity test budget exhausted" in capsys.readouterr().err
+        assert main([*argv, "--budget", "2"]) == 0
+
     def test_all_analyses_by_default(self, capsys):
         main(["analyze", fixture("example3_discrete.json"), "--format", "json"])
         report = json.loads(capsys.readouterr().out)
@@ -319,4 +328,40 @@ class TestReportRendering:
         assert code == 3
         monkeypatch.setenv("MATCHKIT_BUDGET", "100000")
         assert main(["balance", fixture("example1_tu.json")]) == 0
+        capsys.readouterr()
+
+    def test_parser_built_once_env_read_per_call(self, capsys, monkeypatch):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            path = fixture("example1_tu.json")
+            monkeypatch.setenv("MATCHKIT_BUDGET", "2")
+            assert main(["balance", path]) == 3
+            assert main(["balance", path, "--budget", "100000"]) == 0
+            monkeypatch.setenv("MATCHKIT_BUDGET", "100000")
+            assert main(["balance", path]) == 0
+            assert main(["balance", path, "--budget", "2"]) == 3
+            assert built == [1]
+        finally:
+            cli._parser.cache_clear()
+        capsys.readouterr()
+
+    def test_handler_looked_up_at_call_time(self, capsys, monkeypatch):
+        main(["balance", fixture("example1_tu.json")])
+        calls = []
+        original = cli.cmd_balance
+
+        def wrapped(args):
+            calls.append(args)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_balance", wrapped)
+        assert main(["balance", fixture("example1_tu.json")]) == 0
+        assert len(calls) == 1
         capsys.readouterr()
