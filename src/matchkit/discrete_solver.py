@@ -6,12 +6,17 @@ f to their current match; Ch_f(T_f) dominates every coalition f could form,
 so checking it against mu(f) is both sound and complete.  A firm holding a
 non-satisfactory set is flagged through the same route (its choice from T_f
 beats mu(f)), which mirrors how no-blocking subsumes firm rationality.
+
+Enumeration walks the disjoint assignments of satisfactory sets depth first
+and prunes them with a forward version of the same test: a partial
+assignment in which some placed firm blocks every completion is not
+extended, and its pruned subtree spends no budget steps.  Every candidate
+that survives is still verified by check_stable_discrete.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .model import (
     DEFAULT_BUDGET,
@@ -127,27 +132,37 @@ def enumerate_stable_matchings(
     limit: int | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[DiscreteMatching]:
-    """All stable matchings, by exhaustive search over assignments of
+    """All stable matchings, by a depth-first search over assignments of
     disjoint satisfactory sets to firms (only rational candidates can be
-    stable), each verified by check_stable_discrete.
+    stable), each candidate verified by check_stable_discrete.
 
-    With ``limit`` the search stops after that many hits (DFS order);
-    otherwise the full list is returned sorted by assignment.  The search
-    spends at most ``budget`` steps.
+    The search is pruned by a forward blocking test (``_forward_blocking``):
+    a partial assignment in which some placed firm blocks every completion
+    is not extended, and its subtree spends no budget steps.  The surviving
+    candidates keep their DFS order, so the result is the one the unpruned
+    search gives.  With ``limit`` the search stops after that many hits (DFS
+    order); otherwise the full list is returned sorted by assignment.  The
+    search spends at most ``budget`` steps.
     """
     require_valid(m)
     check_guard(m, guard)
+    firms = sorted(m.firms)
     options = []
-    for f in sorted(m.firms):
-        opts = [(frozenset(), ())]
+    for f in firms:
+        opts = [(frozenset(), frozenset())]
         for s in satisfactory_sets(m, f):
             if all(f in m.acceptable_firms(w) for w in s):
-                opts.append((s, tuple((w, f) for w in s)))
+                opts.append((s, s))
         options.append(opts)
 
     found: list[DiscreteMatching] = []
-    for picked in iter_disjoint_assignments(options, _Budget(budget, "enumeration")):
-        mu = DiscreteMatching(assignment=chain.from_iterable(picked))
+    search = iter_disjoint_assignments(
+        options, _Budget(budget, "enumeration"), _forward_blocking(m, firms, options)
+    )
+    for picked in search:
+        mu = DiscreteMatching(
+            assignment={w: f for f, s in zip(firms, picked) for w in s}
+        )
         if check_stable_discrete(m, mu).stable:
             found.append(mu)
             if limit is not None and len(found) >= limit:
@@ -155,6 +170,54 @@ def enumerate_stable_matchings(
     if limit is None:
         found.sort(key=lambda mu: mu.key())
     return found
+
+
+def _forward_blocking(m: DiscreteMarket, firms: list[str], options):
+    """The prune hook of the enumeration: true when a firm placed at a slot
+    up to i blocks every completion of the partial assignment.
+
+    For a placed firm g, L_g holds the workers sure to weakly prefer g to
+    their final match: an assigned worker that weakly prefers g to its firm,
+    and an unassigned one that ranks g above staying unmatched and above
+    every firm it could still join (a later slot with an option containing
+    it).  L_g lies inside T_g in every completion, and Ch_g picks the best
+    listed set inside its argument, so if Ch_g(L_g) beats g's set then g
+    blocks every completion.  No substitutability is assumed.
+    """
+    workers = sorted(m.workers)
+    rank = {w: {f: r for r, f in enumerate(m.worker_prefs.get(w, ()))} for w in workers}
+    # accept[k]: (worker, its rank of firms[k]) for the workers that list it.
+    accept = [[(w, rank[w][f]) for w in workers if f in rank[w]] for f in firms]
+    # open_rank[i][w]: the best rank w gives a firm at a slot after i that
+    # can hire it, or to staying unmatched.
+    open_rank = [None] * len(firms)
+    best = {w: len(rank[w]) for w in workers}
+    for i in range(len(firms) - 1, -1, -1):
+        open_rank[i] = dict(best)
+        f = firms[i]
+        for key, _ in options[i]:
+            for w in key:
+                best[w] = min(best[w], rank[w][f])
+
+    def blocked(i: int, picked) -> bool:
+        held = {}  # assigned worker -> its rank of its firm
+        for k in range(i + 1):
+            f = firms[k]
+            for w in picked[k]:
+                held[w] = rank[w][f]
+        bound = open_rank[i]
+        for k in range(i + 1):
+            g = firms[k]
+            pool = [
+                w
+                for w, r in accept[k]
+                if (r <= held[w] if w in held else r < bound[w])
+            ]
+            if m.firm_strictly_prefers(g, choice(m, g, pool), picked[k]):
+                return True
+        return False
+
+    return blocked
 
 
 def _apply_block(mu: DiscreteMatching, block: BlockingCoalition) -> DiscreteMatching:

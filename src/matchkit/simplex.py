@@ -71,18 +71,23 @@ def simplex_max(
         tab.append(row)
 
     def pivot(r: int, col: int) -> None:
+        # matchkit's programs are mostly zeros: update only the pivot row's
+        # nonzero columns, in place (a zero entry changes no other row).
         prow = tab[r]
+        nz = [j for j, v in enumerate(prow) if v]
         piv = prow[col]
         if piv != ONE:
             inv = ONE / piv
-            tab[r] = prow = [v * inv for v in prow]
+            for j in nz:
+                prow[j] *= inv
         for i in range(m):
             if i == r:
                 continue
-            factor = tab[i][col]
+            row_i = tab[i]
+            factor = row_i[col]
             if factor:
-                row_i = tab[i]
-                tab[i] = [a - factor * p for a, p in zip(row_i, prow)]
+                for j in nz:
+                    row_i[j] -= factor * prow[j]
         basis[r] = col
 
     def run(red: list[Fraction], allowed: list[int]) -> None:
@@ -113,7 +118,8 @@ def simplex_max(
             factor = red[enter]
             prow = tab[leave]
             for j in allowed:
-                red[j] -= factor * prow[j]
+                if prow[j]:
+                    red[j] -= factor * prow[j]
 
     def reduced(obj: list[Fraction]) -> list[Fraction]:
         # Reduced costs of ``obj`` (zero on slacks) in the current basis.

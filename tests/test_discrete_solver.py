@@ -1,4 +1,6 @@
-from itertools import product
+from fractions import Fraction
+from itertools import chain, product
+from pathlib import Path
 
 import pytest
 
@@ -6,16 +8,93 @@ from matchkit import (
     DiscreteMarket,
     DiscreteMatching,
     check_stable_discrete,
+    discrete_solver,
     enumerate_stable_matchings,
     find_blocking_coalition,
     is_individually_rational,
     run_blocking_dynamics,
 )
 from matchkit.errors import SizeGuardExceeded
-from matchkit.generator import GenParams, gen_discrete_market
-from matchkit.model import SizeGuard
+from matchkit.generator import GenParams, SplitMix64, gen_discrete_market
+from matchkit.io import load_market
+from matchkit.model import (
+    SizeGuard,
+    _Budget,
+    iter_disjoint_assignments,
+    satisfactory_sets,
+)
 
 fs = frozenset
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+SUITE_PARAMS = dict(
+    firm_count=4,
+    worker_count=6,
+    max_acceptable_sets_per_firm=3,
+    max_set_size=3,
+    value_range=(Fraction(0), Fraction(10)),
+    acceptability_density=0.85,
+)
+WIDE_PARAMS = dict(
+    firm_count=6,
+    worker_count=10,
+    max_acceptable_sets_per_firm=6,
+    max_set_size=3,
+)
+
+
+def exhaustive_stable_oracle(m: DiscreteMarket, limit=None):
+    """The unpruned enumeration: every disjoint assignment of satisfactory
+    sets, in DFS order, each checked by check_stable_discrete."""
+    options = []
+    for f in sorted(m.firms):
+        opts = [(fs(), ())]
+        for s in satisfactory_sets(m, f):
+            if all(f in m.acceptable_firms(w) for w in s):
+                opts.append((s, tuple((w, f) for w in s)))
+        options.append(opts)
+    found = []
+    for picked in iter_disjoint_assignments(options, _Budget(10**7, "oracle")):
+        mu = DiscreteMatching(assignment=chain.from_iterable(picked))
+        if check_stable_discrete(m, mu).stable:
+            found.append(mu)
+            if limit is not None and len(found) >= limit:
+                break
+    if limit is None:
+        found.sort(key=lambda mu: mu.key())
+    return found
+
+
+def complete_marriage_market(n_firms, n_workers, seed):
+    """Every firm ranks every single worker and every worker every firm,
+    in seeded random order."""
+    rng = SplitMix64(seed)
+    firms = [f"f{i}" for i in range(1, n_firms + 1)]
+    workers = [f"w{i}" for i in range(1, n_workers + 1)]
+    firm_prefs = {}
+    for f in firms:
+        sets = [fs({w}) for w in workers]
+        rng.shuffle(sets)
+        firm_prefs[f] = tuple(sets)
+    worker_prefs = {}
+    for w in workers:
+        ranked = list(firms)
+        rng.shuffle(ranked)
+        worker_prefs[w] = tuple(ranked)
+    return DiscreteMarket(
+        firms=set(firms), workers=set(workers), firm_prefs=firm_prefs, worker_prefs=worker_prefs
+    )
+
+
+DISCRETE_FIXTURES = (
+    "appendixC_discrete.json",
+    "example2_discrete.json",
+    "example3_discrete.json",
+    "intro_discrete.json",
+    "marriage.json",
+    "profile13.json",
+)
 
 
 def all_matchings(m: DiscreteMarket):
@@ -151,6 +230,64 @@ class TestEnumerate:
                                               max_acceptable_sets_per_firm=4,
                                               max_set_size=1))
             assert enumerate_stable_matchings(m, limit=1)
+
+
+class TestForwardBlockingPrune:
+    """The pruned enumeration against the unpruned one."""
+
+    @staticmethod
+    def agree(m):
+        for limit in (None, 1):
+            assert enumerate_stable_matchings(m, limit=limit) == exhaustive_stable_oracle(
+                m, limit
+            )
+
+    @pytest.mark.parametrize("name", DISCRETE_FIXTURES)
+    def test_fixtures(self, name):
+        self.agree(load_market(FIXTURES / name))
+
+    @pytest.mark.parametrize("params", [SUITE_PARAMS, WIDE_PARAMS], ids=["suite", "wide"])
+    def test_generated_markets(self, params):
+        for seed in range(500):
+            self.agree(gen_discrete_market(GenParams(seed=seed, **params)))
+
+    def test_complete_marriage_markets(self):
+        for n_firms, n_workers in [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4),
+                                   (4, 4), (4, 5), (5, 5), (5, 6), (6, 6)]:
+            for seed in range(2):
+                self.agree(complete_marriage_market(n_firms, n_workers, seed))
+
+    def test_pruned_prefixes_have_no_stable_completion(self, monkeypatch):
+        pruned = []
+
+        def spy(options, budget, prune):
+            def recorded(i, picked):
+                hit = prune(i, picked)
+                if hit:
+                    pruned.append(tuple(picked[: i + 1]))
+                return hit
+
+            return iter_disjoint_assignments(options, budget, recorded)
+
+        monkeypatch.setattr(discrete_solver, "iter_disjoint_assignments", spy)
+        markets = [
+            gen_discrete_market(GenParams(seed=seed, firm_count=3, worker_count=4,
+                                          max_acceptable_sets_per_firm=3,
+                                          max_set_size=2))
+            for seed in range(40)
+        ]
+        markets += [complete_marriage_market(3, 4, seed) for seed in range(10)]
+        total = 0
+        for m in markets:
+            pruned.clear()
+            enumerate_stable_matchings(m)
+            firms = sorted(m.firms)
+            stable = [mu for mu in all_matchings(m) if check_stable_discrete(m, mu).stable]
+            for prefix in pruned:
+                for mu in stable:
+                    assert [mu.workers_of(f) for f in firms[: len(prefix)]] != list(prefix)
+            total += len(pruned)
+        assert total > 0
 
 
 class TestDynamics:

@@ -259,3 +259,65 @@ class TestDisjointAssignments:
         options = [[(fs(), 0), (fs({"x"}), 1)]] * 3
         with pytest.raises(WorkBudgetExceeded, match="test budget exhausted"):
             list(iter_disjoint_assignments(options, _Budget(4, "test")))
+
+    OPTIONS = [
+        [(fs(), "a0"), (fs({"x"}), "a1")],
+        [(fs(), "b0"), (fs({"x"}), "b1"), (fs({"y"}), "b2")],
+        [(fs(), "c0"), (fs({"y"}), "c1")],
+    ]
+
+    def search(self, prune):
+        budget = _Budget(100, "test")
+        got = list(iter_disjoint_assignments(self.OPTIONS, budget, prune))
+        return got, 100 - budget.left
+
+    def test_no_hook_and_a_hook_that_never_prunes_agree(self):
+        calls = []
+
+        def never(i, picked):
+            calls.append((i, tuple(picked[: i + 1])))
+            return False
+
+        got, steps = self.search(None)
+        assert self.search(never) == (got, steps)
+        assert got == [
+            ("a0", "b0", "c0"),
+            ("a0", "b0", "c1"),
+            ("a0", "b1", "c0"),
+            ("a0", "b1", "c1"),
+            ("a0", "b2", "c0"),
+            ("a1", "b0", "c0"),
+            ("a1", "b0", "c1"),
+            ("a1", "b2", "c0"),
+        ]
+        # 2 first-slot, 5 second-slot and 8 third-slot placements; the hook
+        # sees each one, with the prefix placed so far.
+        assert steps == 15
+        assert len(calls) == steps
+        assert calls[:3] == [(0, ("a0",)), (1, ("a0", "b0")), (2, ("a0", "b0", "c0"))]
+
+    def test_pruned_prefix_spends_no_further_steps(self):
+        got, steps = self.search(lambda i, picked: i == 1 and picked[1] == "b0")
+        # Every choice through b0 is gone; the rest keep their DFS order.
+        assert got == [
+            ("a0", "b1", "c0"),
+            ("a0", "b1", "c1"),
+            ("a0", "b2", "c0"),
+            ("a1", "b2", "c0"),
+        ]
+        # The two b0 placements are spent, their four leaves are not.
+        assert steps == 15 - 4
+
+    def test_pruning_the_first_slot_skips_its_whole_subtree(self):
+        got, steps = self.search(lambda i, picked: picked[0] == "a0")
+        assert got == [("a1", "b0", "c0"), ("a1", "b0", "c1"), ("a1", "b2", "c0")]
+        assert steps == 2 + 2 + 3
+
+    def test_rejecting_at_the_last_slot_drops_exactly_that_leaf(self):
+        full, steps = self.search(None)
+        leaf = ("a0", "b1", "c1")
+        got, pruned_steps = self.search(
+            lambda i, picked: i == 2 and tuple(picked) == leaf
+        )
+        assert got == [c for c in full if c != leaf]
+        assert pruned_steps == steps

@@ -2,11 +2,122 @@ from fractions import Fraction
 
 import pytest
 
+from matchkit import tu_solver
 from matchkit.errors import CertificateError
 from matchkit.generator import SplitMix64
-from matchkit.simplex import LpInternalError, certify, simplex_max
+from matchkit.model import TuMarket
+from matchkit.simplex import ONE, ZERO, LpInternalError, LpResult, certify, simplex_max
 
 F = Fraction
+
+
+def dense_simplex_max(c, rows, rhs, ties=()):
+    """Reference: simplex_max with dense pivots, updating every column of
+    every row and every allowed reduced cost, zero or not."""
+    m, n = len(rows), len(c)
+    c = [Fraction(v) for v in c]
+    b = [Fraction(v) for v in rhs]
+    neg = [i for i in range(m) if b[i] < 0]
+    n_art = len(neg)
+    width = n + m + n_art
+    tab, basis = [], []
+    art_col = {i: n + m + k for k, i in enumerate(neg)}
+    for i in range(m):
+        row = [Fraction(v) for v in rows[i]] + [ZERO] * (m + n_art)
+        row[n + i] = ONE
+        flip = i in art_col
+        if flip:
+            row = [-v for v in row]
+            row[art_col[i]] = ONE
+            basis.append(art_col[i])
+        else:
+            basis.append(n + i)
+        row.append(-b[i] if flip else b[i])
+        tab.append(row)
+
+    def pivot(r, col):
+        prow = tab[r]
+        piv = prow[col]
+        if piv != ONE:
+            inv = ONE / piv
+            tab[r] = prow = [v * inv for v in prow]
+        for i in range(m):
+            if i == r:
+                continue
+            factor = tab[i][col]
+            if factor:
+                row_i = tab[i]
+                tab[i] = [a - factor * p for a, p in zip(row_i, prow)]
+        basis[r] = col
+
+    def run(red, allowed):
+        while True:
+            enter = -1
+            for j in allowed:
+                if red[j] > 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return
+            leave = -1
+            best = None
+            for i in range(m):
+                a = tab[i][enter]
+                if a > 0:
+                    ratio = tab[i][-1] / a
+                    if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]
+                    ):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                raise LpInternalError("linear program is unbounded")
+            pivot(leave, enter)
+            factor = red[enter]
+            prow = tab[leave]
+            for j in allowed:
+                red[j] -= factor * prow[j]
+
+    def reduced(obj):
+        red = [Fraction(v) for v in obj] + [ZERO] * (m + n_art)
+        for i in range(m):
+            factor = red[basis[i]]
+            if factor:
+                red = [a - factor * p for a, p in zip(red, tab[i])]
+        return red
+
+    allowed = list(range(n + m))
+    if n_art:
+        red1 = [ZERO] * width
+        for i in neg:
+            for j in range(width):
+                red1[j] += tab[i][j]
+        for k in range(n_art):
+            red1[n + m + k] = ZERO
+        run(red1, allowed)
+        total = sum((tab[i][-1] for i in range(m) if basis[i] >= n + m), ZERO)
+        if total != 0:
+            raise LpInternalError("linear program is infeasible")
+        for i in range(m):
+            if basis[i] >= n + m:
+                for j in range(n + m):
+                    if tab[i][j] != 0:
+                        pivot(i, j)
+                        break
+                else:
+                    raise LpInternalError("degenerate artificial row")
+    red = reduced(c)
+    run(red, allowed)
+    duals = [-red[n + i] for i in range(m)]
+    for obj in ties:
+        allowed = [j for j in allowed if red[j] == 0]
+        red = reduced(obj)
+        run(red, allowed)
+    x = [ZERO] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][-1]
+    return LpResult(value=certify(c, rows, b, x, duals), x=x, duals=duals)
 
 
 def test_textbook_max():
@@ -169,3 +280,70 @@ def test_certify_rejects_a_suboptimal_pair():
     with pytest.raises(LpInternalError, match="dual constraint"):
         certify([F(1), F(1)], rows, rhs, res.x, [F(0), F(0)])
     assert issubclass(LpInternalError, CertificateError)
+
+
+def _sparse_programs(rng, count):
+    """Feasible, bounded programs with mostly-zero rows: a random point x0
+    fixes the right-hand sides (often tight, often negative, so phase 1 and
+    degenerate ties occur), and every variable is capped."""
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 6)
+        x0 = [rng.randint(0, 3) for _ in range(n)]
+        rows, rhs = [], []
+        for _ in range(m):
+            row = [F(rng.randint(-2, 3)) if rng.chance(0.4) else F(0) for _ in range(n)]
+            rows.append(row)
+            slack = 0 if rng.chance(0.5) else rng.randint(0, 3)
+            rhs.append(sum(a * x for a, x in zip(row, x0)) + slack)
+        for j in range(n):
+            rows.append([F(int(k == j)) for k in range(n)])
+            rhs.append(F(10))
+        c = [F(rng.randint(-3, 3)) for _ in range(n)]
+        ties = tuple(
+            [F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(0, 3))
+        )
+        yield c, rows, rhs, ties
+
+
+def _same_result(c, rows, rhs, ties):
+    got = simplex_max(c, rows, rhs, ties)
+    ref = dense_simplex_max(c, rows, rhs, ties)
+    assert (got.x, got.duals, got.value) == (ref.x, ref.duals, ref.value)
+
+
+def test_sparse_pivots_match_dense_pivots_on_random_programs():
+    phase_one = 0
+    for c, rows, rhs, ties in _sparse_programs(SplitMix64(7), 200):
+        _same_result(c, rows, rhs, ties)
+        phase_one += any(b < 0 for b in rhs)
+    assert phase_one >= 20
+
+
+@pytest.mark.parametrize("n_firms,n_workers", [(4, 4), (5, 6)])
+def test_sparse_pivots_match_dense_pivots_on_assignment_games(monkeypatch, n_firms, n_workers):
+    # Both programs solve_lp builds: the coverage program and the
+    # lexicographic price tableau.
+    calls = []
+
+    def recording(c, rows, rhs, ties=()):
+        calls.append((c, rows, rhs, ties))
+        return simplex_max(c, rows, rhs, ties)
+
+    monkeypatch.setattr(tu_solver, "simplex_max", recording)
+    for seed in range(3):
+        rng = SplitMix64(seed)
+        firms = [f"f{i}" for i in range(1, n_firms + 1)]
+        workers = [f"w{i}" for i in range(1, n_workers + 1)]
+        m = TuMarket(
+            firms=set(firms),
+            workers=set(workers),
+            firm_valuations={
+                f: {frozenset({w}): F(rng.randint(0, 80), 8) for w in workers} for f in firms
+            },
+            worker_valuations={w: {f: F(rng.randint(0, 24), 8) for f in firms} for w in workers},
+        )
+        tu_solver.solve_lp(tu_solver.build_lp_problem(m))
+    assert len(calls) == 6
+    for c, rows, rhs, ties in calls:
+        _same_result(c, rows, rhs, ties)
