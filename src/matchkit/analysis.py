@@ -1,11 +1,12 @@
 """Cycle-condition checking, demand types, and total unimodularity.
 
 A firm's demand type collects the difference vectors of chosen sets as the
-available pool expands; entries live in {-1,0,1}.  Total unimodularity of
-the union is tested with exact integer determinants of the Eulerian square
-submatrices only (Camion 1965), under the work budget, and a qualifying
-nontrivial odd cycle is converted into an explicit square submatrix of
-demand vectors with |det| = 2.
+available pool expands; entries live in {-1,0,1}.  They are read off pairs
+of satisfactory sets (Ch(S) = S), with no enumeration of subsets.  Total
+unimodularity of the union is tested with exact integer determinants of the
+Eulerian square submatrices only (Camion 1965), under the work budget, and
+a qualifying nontrivial odd cycle is converted into an explicit square
+submatrix of demand vectors with |det| = 2.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .model import (
     check_guard,
     choice,
     require_valid,
+    satisfactory_sets,
 )
 
 MAX_TU_DIM = 24
@@ -83,50 +85,30 @@ class Prop2Report:
 
 def demand_type(m: DiscreteMarket, guard: SizeGuard = DEFAULT_GUARD) -> DemandType:
     """All nonzero vectors chi_Ch(S) - chi_Ch(S') over pairs S' strictly
-    inside S, per firm and pooled.  Enumerates submasks of every subset, so
-    the size guard applies."""
+    inside S, per firm and pooled.
+
+    The choices (A, B) = (Ch(S), Ch(S')) of such pairs are exactly the pairs
+    A != B of satisfactory-or-empty sets with Ch(A u B) = A.  B = Ch(S')
+    chooses itself, and A u B lies inside S and contains A, so Ch(A u B) =
+    Ch(S) = A.  Conversely S' = B inside S = A u B realizes the pair, and
+    the inclusion is strict since A != B.  A chooses itself as well, so both
+    sets range over ``satisfactory_sets`` and the empty set: no subsets are
+    enumerated.  The size guard is still checked, so oversized markets are
+    refused as before."""
     require_valid(m)
     check_guard(m, guard)
     workers = tuple(sorted(m.workers))
-    windex = {w: i for i, w in enumerate(workers)}
-    n = len(workers)
-    full = 1 << n
-
     per_firm: dict[str, frozenset[tuple[int, ...]]] = {}
-    pooled: set[tuple[int, ...]] = set()
     for f in sorted(m.firms):
-        pref_masks = []
-        for s in m.firm_prefs.get(f, ()):
-            mask = 0
-            for w in s:
-                mask |= 1 << windex[w]
-            pref_masks.append(mask)
-        ch = [0] * full
-        for mask in range(full):
-            for pm in pref_masks:
-                if pm & mask == pm:
-                    ch[mask] = pm
-                    break
-        diffs: set[tuple[int, int]] = set()
-        for mask in range(full):
-            sub = (mask - 1) & mask
-            while True:
-                a, b = ch[mask], ch[sub]
-                if a != b:
-                    diffs.add((a & ~b, b & ~a))
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-        vectors = set()
-        for pos, negm in diffs:
-            vec = tuple(
-                1 if pos >> i & 1 else (-1 if negm >> i & 1 else 0) for i in range(n)
-            )
-            if any(vec):
-                vectors.add(vec)
-        per_firm[f] = frozenset(vectors)
-        pooled |= vectors
-    return DemandType(workers=workers, per_firm=per_firm, union=frozenset(pooled))
+        sets = satisfactory_sets(m, f) + (frozenset(),)
+        per_firm[f] = frozenset(
+            tuple((w in a) - (w in b) for w in workers)
+            for a in sets
+            for b in sets
+            if a != b and choice(m, f, a | b) == a
+        )
+    union = frozenset().union(*per_firm.values())
+    return DemandType(workers=workers, per_firm=per_firm, union=union)
 
 
 def bareiss_determinant(rows: list[list[int]]) -> int:

@@ -8,7 +8,8 @@ output renderings (human default, ``--format json``) are produced from one
 fact dictionary, so they always carry identical content.  The environment
 variable MATCHKIT_BUDGET overrides the default work budget of the exhaustive
 searches when no ``--budget`` flag is given; it is read on every ``main``
-call, while the argument parser is built once per process.
+call, while the argument parser is built once per process, and a value that
+is not an integer exits 2.
 """
 
 from __future__ import annotations
@@ -340,16 +341,12 @@ def cmd_gen(args) -> int:
             if not args.roadmap_out:
                 raise ValueError("gen roadmap needs --roadmap-out")
             rm, market = generator.gen_roadmap_instance(params, kind=args.market_kind)
-            Path(args.roadmap_out).write_text(
-                io.to_canonical_json(io.serialize_roadmap(rm)), encoding="utf-8"
-            )
+            io.write_json(args.roadmap_out, io.serialize_roadmap(rm))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     require_valid(market)
-    Path(args.out).write_text(
-        io.to_canonical_json(io.serialize_market(market)), encoding="utf-8"
-    )
+    io.write_json(args.out, io.serialize_market(market))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -422,8 +419,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if getattr(args, "budget", None) is None:
-        args.budget = int(os.environ.get("MATCHKIT_BUDGET", hypergraph.DEFAULT_BUDGET))
+    if hasattr(args, "budget") and args.budget is None:
+        raw = os.environ.get("MATCHKIT_BUDGET", str(hypergraph.DEFAULT_BUDGET))
+        try:
+            args.budget = int(raw)
+        except ValueError:
+            print(f"error: MATCHKIT_BUDGET must be an integer, got {raw!r}", file=sys.stderr)
+            return EXIT_INPUT
     # The handler is looked up by name on each call, not bound in the cached
     # parser, so a wrapper later installed on a cmd_* attribute still runs.
     handler = globals()["cmd_" + args.command.replace("-", "_")]

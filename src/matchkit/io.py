@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import MarketFormatError
+from .errors import MarketFormatError, MatchkitError
 from .model import (
     DiscreteMarket,
     DiscreteMatching,
@@ -191,6 +191,15 @@ def load_json(path: str | Path):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise MarketFormatError(f"{path}: invalid JSON ({e})")
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as canonical JSON; an unwritable path raises
+    MatchkitError, as an unreadable one does in ``load_json``."""
+    try:
+        Path(path).write_text(to_canonical_json(obj), encoding="utf-8")
+    except OSError as e:
+        raise MatchkitError(f"cannot write {path}: {e}")
 
 
 def load_market(path: str | Path) -> Market:

@@ -127,7 +127,10 @@ def simplex_max(
         for i in range(m):
             factor = red[basis[i]]
             if factor:
-                red = [a - factor * p for a, p in zip(red, tab[i])]
+                row = tab[i]
+                for j in range(width):
+                    if row[j]:
+                        red[j] -= factor * row[j]
         return red
 
     allowed = list(range(n + m))
@@ -185,7 +188,7 @@ def certify(c, rows, b, x, duals) -> Fraction:
         if xi < 0:
             raise LpInternalError("negative primal variable")
     for row, bi in zip(rows, b):
-        lhs = sum((a * xi for a, xi in zip(row, x)), ZERO)
+        lhs = sum((a * xi for a, xi in zip(row, x) if a), ZERO)
         if lhs > bi:
             raise LpInternalError("primal constraint violated")
     dual_value = ZERO
@@ -194,7 +197,9 @@ def certify(c, rows, b, x, duals) -> Fraction:
             raise LpInternalError("negative dual variable")
         dual_value += yi * bi
     for j, cj in enumerate(c):
-        col = sum((duals[i] * rows[i][j] for i in range(len(rows))), ZERO)
+        col = sum(
+            (duals[i] * rows[i][j] for i in range(len(rows)) if rows[i][j]), ZERO
+        )
         if col < cj:
             raise LpInternalError("dual constraint violated")
     value = sum((cj * xj for cj, xj in zip(c, x)), ZERO)

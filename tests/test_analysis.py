@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -15,12 +16,24 @@ from matchkit import (
     prop2_relation,
     tu_cycle_certificate,
 )
-from matchkit.analysis import TuVerdict, bareiss_determinant
+from matchkit.analysis import DemandType, TuVerdict, bareiss_determinant
 from matchkit import analysis
 from matchkit.errors import CertificateError, SizeGuardExceeded, WorkBudgetExceeded
 from matchkit.generator import GenParams, SplitMix64, gen_discrete_market
+from matchkit.io import load_market
+from matchkit.model import satisfactory_sets
 
 fs = frozenset
+
+FIXTURES = Path(__file__).parent / "fixtures"
+DISCRETE_FIXTURES = (
+    "appendixC_discrete.json",
+    "example2_discrete.json",
+    "example3_discrete.json",
+    "intro_discrete.json",
+    "marriage.json",
+    "profile13.json",
+)
 
 # The acceptance suite's generator parameters.
 SUITE_PARAMS = dict(
@@ -108,6 +121,52 @@ def matrix_of(columns):
     )
 
 
+def bitmask_demand_type_oracle(m: DiscreteMarket) -> DemandType:
+    """Reference for demand_type: tabulate Ch(S) for every subset S of the
+    workers as a bitmask, then take chi_Ch(S) - chi_Ch(S') over every pair
+    S' strictly inside S by walking the submasks of each mask."""
+    workers = tuple(sorted(m.workers))
+    windex = {w: i for i, w in enumerate(workers)}
+    n = len(workers)
+    full = 1 << n
+
+    per_firm = {}
+    pooled = set()
+    for f in sorted(m.firms):
+        pref_masks = []
+        for s in m.firm_prefs.get(f, ()):
+            mask = 0
+            for w in s:
+                mask |= 1 << windex[w]
+            pref_masks.append(mask)
+        ch = [0] * full
+        for mask in range(full):
+            for pm in pref_masks:
+                if pm & mask == pm:
+                    ch[mask] = pm
+                    break
+        diffs = set()
+        for mask in range(full):
+            sub = (mask - 1) & mask
+            while True:
+                a, b = ch[mask], ch[sub]
+                if a != b:
+                    diffs.add((a & ~b, b & ~a))
+                if sub == 0:
+                    break
+                sub = (sub - 1) & mask
+        vectors = set()
+        for pos, negm in diffs:
+            vec = tuple(
+                1 if pos >> i & 1 else (-1 if negm >> i & 1 else 0) for i in range(n)
+            )
+            if any(vec):
+                vectors.add(vec)
+        per_firm[f] = frozenset(vectors)
+        pooled |= vectors
+    return DemandType(workers=workers, per_firm=per_firm, union=frozenset(pooled))
+
+
 class TestDemandType:
     def test_market1(self, market1):
         dt = demand_type(market1)
@@ -137,6 +196,42 @@ class TestDemandType:
             for vec in dt.union:
                 assert all(x in (-1, 0, 1) for x in vec)
                 assert any(x == 1 for x in vec), f"seed {seed}: {vec}"
+
+
+class TestDemandTypeAgainstBitmaskOracle:
+    @pytest.mark.parametrize("name", DISCRETE_FIXTURES)
+    def test_fixtures(self, name):
+        m = load_market(FIXTURES / name)
+        assert demand_type(m) == bitmask_demand_type_oracle(m)
+
+    def test_suite_seeds(self):
+        for seed in range(500):
+            m = gen_discrete_market(GenParams(seed=seed, **SUITE_PARAMS))
+            assert demand_type(m) == bitmask_demand_type_oracle(m), seed
+
+    def test_markets_with_unsatisfactory_listed_sets(self):
+        # A listed set S with a better listed set inside it has Ch(S) != S:
+        # it never appears in a pair, though the subset walk still meets it.
+        unsatisfactory = 0
+        for seed in range(500):
+            m = gen_discrete_market(GenParams(
+                seed=seed, firm_count=3, worker_count=5,
+                max_acceptable_sets_per_firm=6, max_set_size=4,
+            ))
+            unsatisfactory += sum(
+                len(m.firm_prefs.get(f, ())) - len(satisfactory_sets(m, f))
+                for f in m.firms
+            )
+            assert demand_type(m) == bitmask_demand_type_oracle(m), seed
+        assert unsatisfactory > 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_guard_limit_markets(self, seed):
+        m = gen_discrete_market(GenParams(
+            seed=seed, firm_count=8, worker_count=12,
+            max_acceptable_sets_per_firm=8, max_set_size=4,
+        ))
+        assert demand_type(m) == bitmask_demand_type_oracle(m)
 
 
 class TestTotallyUnimodular:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from matchkit.io import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+WORKED_EXAMPLES = Path(__file__).parent.parent / "scripts" / "worked_examples.py"
 
 
 def fixture(name: str) -> str:
@@ -311,6 +314,18 @@ class TestCmdGen:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--out", "--roadmap-out"])
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys, flag):
+        bad = tmp_path / "missing" / "x.json"
+        paths = {"--out": tmp_path / "m.json", "--roadmap-out": tmp_path / "r.json"}
+        paths[flag] = bad
+        code = main([
+            "gen", "roadmap", "--seed", "3", "--firms", "2", "--workers", "5",
+            "--out", str(paths["--out"]), "--roadmap-out", str(paths["--roadmap-out"]),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
+
 
 class TestReportRendering:
     def test_human_and_json_carry_same_facts(self, capsys):
@@ -328,6 +343,16 @@ class TestReportRendering:
         assert code == 3
         monkeypatch.setenv("MATCHKIT_BUDGET", "100000")
         assert main(["balance", fixture("example1_tu.json")]) == 0
+        capsys.readouterr()
+
+    def test_malformed_budget_env_is_input_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("MATCHKIT_BUDGET", "abc")
+        assert main(["balance", fixture("example1_tu.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: MATCHKIT_BUDGET must be an integer, got 'abc'\n"
+        )
+        # gen searches nothing, so it does not read the variable.
+        assert main(["gen", "tu", "--seed", "1", "--out", str(tmp_path / "x.json")]) == 0
         capsys.readouterr()
 
     def test_parser_built_once_env_read_per_call(self, capsys, monkeypatch):
@@ -365,3 +390,15 @@ class TestReportRendering:
         assert main(["balance", fixture("example1_tu.json")]) == 0
         assert len(calls) == 1
         capsys.readouterr()
+
+
+def test_worked_examples_script_runs():
+    done = subprocess.run(
+        [sys.executable, str(WORKED_EXAMPLES)], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    intro = done.stdout.split("== intro_discrete.json")[1].split("\n== ")[0]
+    assert (
+        "  demand type [(0, 1), (1, -1), (1, 0), (1, 1)] -> totally unimodular: False"
+        in intro.splitlines()
+    )
