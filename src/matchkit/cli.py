@@ -8,8 +8,8 @@ output renderings (human default, ``--format json``) are produced from one
 fact dictionary, so they always carry identical content.  The environment
 variable MATCHKIT_BUDGET overrides the default work budget of the exhaustive
 searches when no ``--budget`` flag is given; it is read on every ``main``
-call, while the argument parser is built once per process, and a value that
-is not an integer exits 2.
+call, while the argument parser is built once per process.  A budget that
+is not an integer, and a negative budget or ``--max-steps``, exit 2.
 """
 
 from __future__ import annotations
@@ -419,12 +419,23 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if hasattr(args, "budget") and args.budget is None:
-        raw = os.environ.get("MATCHKIT_BUDGET", str(hypergraph.DEFAULT_BUDGET))
-        try:
-            args.budget = int(raw)
-        except ValueError:
-            print(f"error: MATCHKIT_BUDGET must be an integer, got {raw!r}", file=sys.stderr)
+    limits = {}
+    if hasattr(args, "budget"):
+        if args.budget is None:
+            raw = os.environ.get("MATCHKIT_BUDGET", str(hypergraph.DEFAULT_BUDGET))
+            try:
+                args.budget = int(raw)
+            except ValueError:
+                print(f"error: MATCHKIT_BUDGET must be an integer, got {raw!r}", file=sys.stderr)
+                return EXIT_INPUT
+            limits["MATCHKIT_BUDGET"] = args.budget
+        else:
+            limits["--budget"] = args.budget
+    if hasattr(args, "max_steps"):
+        limits["--max-steps"] = args.max_steps
+    for name, value in limits.items():
+        if value < 0:
+            print(f"error: {name} must be nonnegative, got {value}", file=sys.stderr)
             return EXIT_INPUT
     # The handler is looked up by name on each call, not bound in the cached
     # parser, so a wrapper later installed on a cmd_* attribute still runs.

@@ -237,15 +237,15 @@ def run_blocking_dynamics(
     Each step: the lowest-id worker matched to an unacceptable firm quits;
     otherwise the lowest-id blocking firm grabs its choice from T_f,
     displacing and poaching as needed.  Stops at a stable state, at the
-    first exact revisit of an earlier state, or when the step budget runs
-    out.
+    first exact revisit of an earlier state, or when ``max_steps`` moves
+    have been made and the state they reach is not stable.
     """
     require_valid(m)
     states = [start]
     moves: list[DynamicsMove] = []
     seen = {start.key(): 0}
     current = start
-    for step in range(max_steps):
+    while True:
         quitter = next(
             (
                 w
@@ -255,20 +255,22 @@ def run_blocking_dynamics(
             ),
             None,
         )
+        block = None if quitter is not None else find_blocking_coalition(m, current)
+        if quitter is None and block is None:
+            return DynamicsTrace(
+                states=tuple(states),
+                moves=tuple(moves),
+                outcome="stable",
+                stable_at=len(states) - 1,
+            )
+        if len(moves) >= max_steps:
+            return DynamicsTrace(states=tuple(states), moves=tuple(moves), outcome="budget")
         if quitter is not None:
             assignment = dict(current.assignment)
             del assignment[quitter]
             current = DiscreteMatching(assignment=assignment)
             moves.append(DynamicsMove(kind="quit", worker=quitter))
         else:
-            block = find_blocking_coalition(m, current)
-            if block is None:
-                return DynamicsTrace(
-                    states=tuple(states),
-                    moves=tuple(moves),
-                    outcome="stable",
-                    stable_at=len(states) - 1,
-                )
             current = _apply_block(current, block)
             moves.append(
                 DynamicsMove(kind="block", firm=block.firm, workers=block.workers)
@@ -283,4 +285,3 @@ def run_blocking_dynamics(
                 revisit=(seen[key], len(states) - 1),
             )
         seen[key] = len(states) - 1
-    return DynamicsTrace(states=tuple(states), moves=tuple(moves), outcome="budget")

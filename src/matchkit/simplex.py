@@ -1,12 +1,21 @@
 """Exact simplex over rationals.
 
-Solves  max c.x  subject to  A x <= b,  x >= 0  with Fraction arithmetic,
-Bland's smallest-index anti-cycling rule, and a phase-1 round (artificial
-variables) whenever some right-hand side is negative.  Tie-breaking
-objectives are then maximized in turn over the optimal face, in the same
-tableau: the lexicographic simplex of Dantzig, Orden & Wolfe (1955).  Every
-solve is certified before returning: primal feasibility, dual feasibility,
-and exact equality of the two objective values.
+Solves  max c.x  subject to  A x <= b,  x >= 0  with Bland's smallest-index
+anti-cycling rule and a phase-1 round (artificial variables) whenever some
+right-hand side is negative.  Tie-breaking objectives are then maximized in
+turn over the optimal face, in the same tableau: the lexicographic simplex
+of Dantzig, Orden & Wolfe (1955).  Every solve is certified before
+returning: primal feasibility, dual feasibility, and exact equality of the
+two objective values.
+
+Inputs may be ``int`` or ``Fraction``; outputs are ``Fraction``.  Inside,
+each tableau row (and each reduced-cost row) is a list of ``int``
+numerators over one positive ``int`` row denominator, and pivots are
+fraction-free in the manner of Edmonds (1967) and Bareiss (1968): the row
+becomes  p*row - f*pivot_row  over  den*p  and is reduced by its gcd.  The
+rationals stored are exactly those of a ``Fraction`` tableau, so every
+pivot choice is the same.  ``certify`` likewise works on integer numerators
+over common denominators.
 """
 
 from __future__ import annotations
@@ -14,11 +23,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import CertificateError
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LpInternalError(CertificateError):
@@ -34,6 +41,26 @@ class LpResult:
     duals: list[Fraction]
 
 
+def _scaled(values) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` (ints or Fractions) over their least
+    common denominator, and that denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _eliminate(row: list[int], den: int, f: int, prow: list[int], p: int):
+    """row/den - (f/den) * prow/p, reduced: ``prow`` over ``p`` is a pivot
+    row whose pivot entry is 1 (numerator ``p``) and ``f`` is ``row``'s
+    numerator in the pivot column.  A result as long as the shorter input."""
+    new = [p * a - f * b for a, b in zip(row, prow)]
+    den *= p
+    g = gcd(den, *new)
+    if g > 1:
+        new = [v // g for v in new]
+        den //= g
+    return new, den
+
+
 def simplex_max(
     c: list[Fraction],
     rows: list[list[Fraction]],
@@ -44,55 +71,55 @@ def simplex_max(
     maximize each objective in ``ties`` in turn over the points optimal for
     all objectives before it.  ``value`` and ``duals`` belong to ``c``."""
     m, n = len(rows), len(c)
-    c = [Fraction(v) for v in c]
-    b = [Fraction(v) for v in rhs]
 
     # Tableau columns: n decision vars, m slacks, then (phase 1 only) one
-    # artificial per negated row.  Row i holds the equation for basis[i].
-    neg = [i for i in range(m) if b[i] < 0]
+    # artificial per negated row, then the right-hand side.  Row i holds
+    # the equation for basis[i]: numerators tab[i] over den[i].
+    neg = [i for i in range(m) if rhs[i] < 0]
     n_art = len(neg)
     width = n + m + n_art
-    tab: list[list[Fraction]] = []
+    art_col = {i: n + m + k for k, i in enumerate(neg)}
+    tab: list[list[int]] = []
+    den: list[int] = []
     basis: list[int] = []
-    art_col = {}
-    for k, i in enumerate(neg):
-        art_col[i] = n + m + k
     for i in range(m):
-        row = [Fraction(v) for v in rows[i]] + [ZERO] * (m + n_art)
-        row[n + i] = ONE
-        flip = i in art_col
-        if flip:
+        nums, d = _scaled([*rows[i], rhs[i]])
+        row = nums[:n] + [0] * (m + n_art)
+        row[n + i] = d
+        row.append(nums[n])
+        if i in art_col:
             row = [-v for v in row]
-            row[art_col[i]] = ONE
+            row[art_col[i]] = d
             basis.append(art_col[i])
         else:
             basis.append(n + i)
-        row.append(-b[i] if flip else b[i])
         tab.append(row)
+        den.append(d)
 
     def pivot(r: int, col: int) -> None:
-        # matchkit's programs are mostly zeros: update only the pivot row's
-        # nonzero columns, in place (a zero entry changes no other row).
+        # The pivot row's new denominator is its pivot entry.  A row with a
+        # zero entry in the pivot column is unchanged: matchkit's programs
+        # are mostly zeros, so most rows are skipped.
         prow = tab[r]
-        nz = [j for j, v in enumerate(prow) if v]
-        piv = prow[col]
-        if piv != ONE:
-            inv = ONE / piv
-            for j in nz:
-                prow[j] *= inv
+        p = prow[col]
+        if p < 0:
+            prow = [-v for v in prow]
+            p = -p
+        g = gcd(*prow)
+        if g > 1:
+            prow = [v // g for v in prow]
+            p //= g
+        tab[r], den[r] = prow, p
         for i in range(m):
-            if i == r:
-                continue
-            row_i = tab[i]
-            factor = row_i[col]
-            if factor:
-                for j in nz:
-                    row_i[j] -= factor * prow[j]
+            if i != r and tab[i][col]:
+                tab[i], den[i] = _eliminate(tab[i], den[i], tab[i][col], prow, p)
         basis[r] = col
 
-    def run(red: list[Fraction], allowed: list[int]) -> None:
+    def run(red: list[int], rd: int, allowed: list[int]) -> tuple[list[int], int]:
         # Bland: entering = lowest-index allowed column with positive reduced
         # cost; leaving = min ratio, ties by lowest basic-variable index.
+        # Row denominators cancel in a ratio, and ratios are compared by
+        # cross-multiplying with positive denominators.
         while True:
             enter = -1
             for j in allowed:
@@ -100,52 +127,45 @@ def simplex_max(
                     enter = j
                     break
             if enter < 0:
-                return
+                return red, rd
             leave = -1
-            best = None
+            best_num = best_den = 0
             for i in range(m):
                 a = tab[i][enter]
                 if a > 0:
-                    ratio = tab[i][-1] / a
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]
+                    num = tab[i][-1]
+                    if leave < 0 or num * best_den < best_num * a or (
+                        num * best_den == best_num * a and basis[i] < basis[leave]
                     ):
-                        best = ratio
+                        best_num, best_den = num, a
                         leave = i
             if leave < 0:
                 raise LpInternalError("linear program is unbounded")
             pivot(leave, enter)
-            factor = red[enter]
-            prow = tab[leave]
-            for j in allowed:
-                if prow[j]:
-                    red[j] -= factor * prow[j]
+            red, rd = _eliminate(red, rd, red[enter], tab[leave], den[leave])
 
-    def reduced(obj: list[Fraction]) -> list[Fraction]:
+    def reduced(obj) -> tuple[list[int], int]:
         # Reduced costs of ``obj`` (zero on slacks) in the current basis.
-        red = [Fraction(v) for v in obj] + [ZERO] * (m + n_art)
+        red, rd = _scaled(obj)
+        red += [0] * (m + n_art)
         for i in range(m):
-            factor = red[basis[i]]
-            if factor:
-                row = tab[i]
-                for j in range(width):
-                    if row[j]:
-                        red[j] -= factor * row[j]
-        return red
+            f = red[basis[i]]
+            if f:
+                red, rd = _eliminate(red, rd, f, tab[i], den[i])
+        return red, rd
 
     allowed = list(range(n + m))
 
     if n_art:
         # Phase 1: drive the artificials (basic, cost -1) to zero.
-        red1 = [ZERO] * width
-        for i in neg:
-            for j in range(width):
-                red1[j] += tab[i][j]
-        for k in range(n_art):
-            red1[n + m + k] = ZERO
-        run(red1, allowed)
-        total = sum((tab[i][-1] for i in range(m) if basis[i] >= n + m), ZERO)
-        if total != 0:
+        rd = lcm(*(den[i] for i in neg))
+        red = [
+            sum(tab[i][j] * (rd // den[i]) for i in neg) if j < n + m else 0
+            for j in range(width)
+        ]
+        red, rd = run(red, rd, allowed)
+        # Basic values are nonnegative: they sum to zero only if each is zero.
+        if any(tab[i][-1] for i in range(m) if basis[i] >= n + m):
             raise LpInternalError("linear program is infeasible")
         for i in range(m):
             if basis[i] >= n + m:
@@ -159,22 +179,20 @@ def simplex_max(
                     raise LpInternalError("degenerate artificial row")
 
     # Phase 2 on the real objective.
-    red = reduced(c)
-    run(red, allowed)
-    duals = [-red[n + i] for i in range(m)]
+    red, rd = run(*reduced(c), allowed)
+    duals = [Fraction(-red[n + i], rd) for i in range(m)]
     for obj in ties:
         # A column with nonzero reduced cost would leave the optimal face:
         # freeze it.  Pivots on the remaining columns leave the earlier
         # objectives' reduced costs, hence ``duals``, unchanged.
         allowed = [j for j in allowed if red[j] == 0]
-        red = reduced(obj)
-        run(red, allowed)
+        red, rd = run(*reduced(obj), allowed)
 
-    x = [ZERO] * n
+    x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][-1]
-    value = certify(c, rows, b, x, duals)
+            x[basis[i]] = Fraction(tab[i][-1], den[i])
+    value = certify(c, rows, rhs, x, duals)
     return LpResult(value=value, x=x, duals=duals)
 
 
@@ -183,26 +201,37 @@ def certify(c, rows, b, x, duals) -> Fraction:
     its dual  min b.y  s.t.  rows^T y >= c,  y >= 0  at the pair (x, duals),
     or raise LpInternalError unless both points are feasible with equal
     values.  Equal values make both optimal and imply complementary
-    slackness."""
-    for xi in x:
-        if xi < 0:
-            raise LpInternalError("negative primal variable")
-    for row, bi in zip(rows, b):
-        lhs = sum((a * xi for a, xi in zip(row, x) if a), ZERO)
-        if lhs > bi:
+    slackness.  Each vector is compared as integer numerators over one
+    common denominator."""
+    X, dx = _scaled(x)
+    if any(v < 0 for v in X):
+        raise LpInternalError("negative primal variable")
+    da = lcm(*(a.denominator for row in rows for a in row))
+    A = [[a.numerator * (da // a.denominator) for a in row] for row in rows]
+    B, db = _scaled(b)
+    # rows[i].x <= b[i]  <=>  (A[i].X) * db <= B[i] * da * dx
+    scale = da * dx
+    for row, bi in zip(A, B):
+        if sum(a * xj for a, xj in zip(row, X) if a) * db > bi * scale:
             raise LpInternalError("primal constraint violated")
-    dual_value = ZERO
-    for yi, bi in zip(duals, b):
-        if yi < 0:
-            raise LpInternalError("negative dual variable")
-        dual_value += yi * bi
-    for j, cj in enumerate(c):
-        col = sum(
-            (duals[i] * rows[i][j] for i in range(len(rows)) if rows[i][j]), ZERO
-        )
-        if col < cj:
+    Y, dy = _scaled(duals)
+    if any(v < 0 for v in Y):
+        raise LpInternalError("negative dual variable")
+    C, dc = _scaled(c)
+    # (rows^T y)[j] >= c[j]  <=>  (Y.A[:, j]) * dc >= C[j] * da * dy
+    col = [0] * len(C)
+    for yi, row in zip(Y, A):
+        if yi:
+            for j, a in enumerate(row):
+                if a:
+                    col[j] += yi * a
+    scale = da * dy
+    for s, cj in zip(col, C):
+        if s * dc < cj * scale:
             raise LpInternalError("dual constraint violated")
-    value = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
-    if dual_value != value:
+    # b.y = dual / (db * dy)  and  c.x = value / (dc * dx)
+    dual = sum(yi * bi for yi, bi in zip(Y, B))
+    value = sum(cj * xj for cj, xj in zip(C, X))
+    if dual * dc * dx != value * db * dy:
         raise LpInternalError("duality gap at claimed optimum")
-    return value
+    return Fraction(value, dc * dx)

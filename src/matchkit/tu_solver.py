@@ -159,12 +159,11 @@ def solve_lp(problem: TuLpProblem) -> tuple[dict[str, Fraction], DualSolution]:
     firm_cols = problem.firm_coalitions()
     n_rows = len(agents)
 
-    cols = [[ZERO] * n_rows for _ in firm_cols]
+    rows = [[0] * len(firm_cols) for _ in agents]
     for j, (c, _) in enumerate(firm_cols):
         for a in c.members():
-            cols[j][idx[a]] = ONE
-    rows = [[cols[j][i] for j in range(len(firm_cols))] for i in range(n_rows)]
-    rhs = [ONE] * n_rows
+            rows[idx[a]][j] = 1
+    rhs = [1] * n_rows
     objective = [v for _, v in firm_cols]
     result = simplex_max(objective, rows, rhs)
     x = _lex_min_primal(rows, objective)
@@ -193,8 +192,8 @@ def _lex_min_primal(rows, objective):
     over the optimal face, in one simplex tableau."""
     n = len(rows)
     primal = [[-r[j] for r in rows] for j in range(len(objective))]
-    ties = [[-ONE if k == i else ZERO for k in range(n)] for i in range(n)]
-    return simplex_max([-ONE] * n, primal, [-v for v in objective], ties).x
+    ties = [[-int(k == i) for k in range(n)] for i in range(n)]
+    return simplex_max([-1] * n, primal, [-v for v in objective], ties).x
 
 
 def check_stable_tu(m: TuMarket, mu: TuMatching) -> TuStabilityVerdict:

@@ -324,6 +324,22 @@ class TestDynamics:
         assert trace.stable_at == 0
         assert trace.moves == ()
 
+    def test_state_reached_by_the_last_allowed_move_is_tested(self, example2_discrete):
+        # From empty, the dynamics reach stability with their second move.
+        empty = DiscreteMatching(assignment={})
+        trace = run_blocking_dynamics(example2_discrete, empty, max_steps=2)
+        assert (trace.outcome, trace.stable_at, len(trace.moves)) == ("stable", 2, 2)
+        trace = run_blocking_dynamics(example2_discrete, empty, max_steps=1)
+        assert (trace.outcome, trace.stable_at, len(trace.moves)) == ("budget", None, 1)
+
+    def test_zero_steps_still_tests_the_start(self, example2_discrete):
+        stable = DiscreteMatching(assignment={"w1": "f1", "w2": "f1", "w3": "f2"})
+        trace = run_blocking_dynamics(example2_discrete, stable, max_steps=0)
+        assert (trace.outcome, trace.stable_at, trace.moves) == ("stable", 0, ())
+        empty = DiscreteMatching(assignment={})
+        trace = run_blocking_dynamics(example2_discrete, empty, max_steps=0)
+        assert (trace.outcome, trace.moves) == ("budget", ())
+
     def test_quit_move_fires_first(self, example2_discrete):
         # w3 never accepts f1, so the first move is a quit.
         start = DiscreteMatching(assignment={"w3": "f1"})

@@ -205,6 +205,19 @@ class TestCmdSolveDiscrete:
         assert report["facts"]["outcome"] == "cycle"
         assert report["facts"]["revisit"] == [0, 4]
 
+    @pytest.mark.parametrize("max_steps", ["0", "1"])
+    def test_dynamics_stable_start_with_few_steps(self, capsys, tmp_path, max_steps):
+        start = tmp_path / "start.json"
+        start.write_text(json.dumps({"assignment": {"m1": "x1", "m2": "x2"}}))
+        code = main([
+            "solve-discrete", fixture("marriage.json"),
+            "--dynamics", "--start", str(start), "--max-steps", max_steps,
+            "--format", "json",
+        ])
+        facts = json.loads(capsys.readouterr().out)["facts"]
+        assert code == 0
+        assert (facts["outcome"], facts["stable_at"], facts["moves"]) == ("stable", 0, [])
+
     def test_first_flag(self, capsys):
         code = main(["solve-discrete", fixture("marriage.json"), "--first", "--format", "json"])
         report = json.loads(capsys.readouterr().out)
@@ -353,6 +366,32 @@ class TestReportRendering:
         )
         # gen searches nothing, so it does not read the variable.
         assert main(["gen", "tu", "--seed", "1", "--out", str(tmp_path / "x.json")]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv,env,message",
+        [
+            (["solve-tu", "example1_tu.json", "--budget", "-3"], None,
+             "error: --budget must be nonnegative, got -3\n"),
+            (["balance", "example1_tu.json"], "-1",
+             "error: MATCHKIT_BUDGET must be nonnegative, got -1\n"),
+            (["solve-discrete", "marriage.json", "--dynamics", "--max-steps", "-1"], None,
+             "error: --max-steps must be nonnegative, got -1\n"),
+        ],
+    )
+    def test_negative_limits_are_input_errors(self, capsys, monkeypatch, argv, env, message):
+        if env is not None:
+            monkeypatch.setenv("MATCHKIT_BUDGET", env)
+        assert main([argv[0], fixture(argv[1]), *argv[2:]]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+
+    def test_zero_limits_are_valid(self, capsys, monkeypatch):
+        assert main(["solve-tu", fixture("example1_tu.json"), "--budget", "0"]) == 3
+        monkeypatch.setenv("MATCHKIT_BUDGET", "0")
+        assert main(["balance", fixture("example1_tu.json")]) == 3
+        assert main(["solve-discrete", fixture("marriage.json"), "--dynamics",
+                     "--max-steps", "0"]) == 1
         capsys.readouterr()
 
     def test_parser_built_once_env_read_per_call(self, capsys, monkeypatch):

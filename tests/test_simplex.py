@@ -6,9 +6,11 @@ from matchkit import tu_solver
 from matchkit.errors import CertificateError
 from matchkit.generator import SplitMix64
 from matchkit.model import TuMarket
-from matchkit.simplex import ONE, ZERO, LpInternalError, LpResult, certify, simplex_max
+from matchkit.simplex import LpInternalError, LpResult, certify, simplex_max
 
 F = Fraction
+ZERO = F(0)
+ONE = F(1)
 
 
 def dense_simplex_max(c, rows, rhs, ties=()):
@@ -117,7 +119,34 @@ def dense_simplex_max(c, rows, rhs, ties=()):
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = tab[i][-1]
-    return LpResult(value=certify(c, rows, b, x, duals), x=x, duals=duals)
+    return LpResult(value=fraction_certify_oracle(c, rows, b, x, duals), x=x, duals=duals)
+
+
+def fraction_certify_oracle(c, rows, b, x, duals):
+    """Reference: simplex.certify with Fraction arithmetic, the same checks
+    in the same order."""
+    for xi in x:
+        if xi < 0:
+            raise LpInternalError("negative primal variable")
+    for row, bi in zip(rows, b):
+        lhs = sum((a * xi for a, xi in zip(row, x) if a), ZERO)
+        if lhs > bi:
+            raise LpInternalError("primal constraint violated")
+    dual_value = ZERO
+    for yi, bi in zip(duals, b):
+        if yi < 0:
+            raise LpInternalError("negative dual variable")
+        dual_value += yi * bi
+    for j, cj in enumerate(c):
+        col = sum(
+            (duals[i] * rows[i][j] for i in range(len(rows)) if rows[i][j]), ZERO
+        )
+        if col < cj:
+            raise LpInternalError("dual constraint violated")
+    value = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
+    if dual_value != value:
+        raise LpInternalError("duality gap at claimed optimum")
+    return value
 
 
 def test_textbook_max():
@@ -347,3 +376,95 @@ def test_sparse_pivots_match_dense_pivots_on_assignment_games(monkeypatch, n_fir
     assert len(calls) == 6
     for c, rows, rhs, ties in calls:
         _same_result(c, rows, rhs, ties)
+
+
+def _rational(rng, lo, hi):
+    """A value k/d with d drawn from 1, 2, 3 and 7: a plain int when d = 1,
+    so every program mixes int and Fraction entries."""
+    d = (1, 2, 3, 7)[rng.randint(0, 3)]
+    k = rng.randint(lo * d, hi * d)
+    return k if d == 1 else F(k, d)
+
+
+def _rational_programs(rng, count):
+    """_sparse_programs with non-integer entries in rows, rhs, c and ties,
+    so the tableau rows carry denominators other than 1."""
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 6)
+        x0 = [_rational(rng, 0, 3) for _ in range(n)]
+        rows, rhs = [], []
+        for _ in range(m):
+            row = [_rational(rng, -2, 3) if rng.chance(0.5) else 0 for _ in range(n)]
+            rows.append(row)
+            slack = 0 if rng.chance(0.5) else _rational(rng, 0, 3)
+            rhs.append(sum(a * x for a, x in zip(row, x0)) + slack)
+        for j in range(n):
+            rows.append([int(k == j) for k in range(n)])
+            rhs.append(F(21, 2))
+        c = [_rational(rng, -3, 3) for _ in range(n)]
+        ties = tuple(
+            [_rational(rng, -2, 2) for _ in range(n)] for _ in range(rng.randint(0, 3))
+        )
+        yield c, rows, rhs, ties
+
+
+RATIONAL_PROGRAMS = list(_rational_programs(SplitMix64(11), 240))
+
+
+def test_integer_tableau_matches_fraction_tableau_on_rational_programs():
+    phase_one = 0
+    for c, rows, rhs, ties in RATIONAL_PROGRAMS:
+        _same_result(c, rows, rhs, ties)
+        phase_one += any(b < 0 for b in rhs)
+    assert phase_one >= 20
+    assert any(
+        isinstance(v, Fraction) and v.denominator in (3, 7)
+        for c, rows, rhs, ties in RATIONAL_PROGRAMS
+        for v in (*c, *rhs, *(a for row in rows for a in row), *(a for t in ties for a in t))
+    )
+
+
+def test_outputs_are_fractions_for_mixed_inputs():
+    # max x + 3/2 y  s.t.  x + 2y <= 4,  3x + y <= 6 (ints and Fractions).
+    res = simplex_max([1, F(3, 2)], [[1, F(2)], [3, 1]], [F(4), 6], ties=([0, -1],))
+    assert res.value == F(17, 5)
+    assert res.x == [F(8, 5), F(6, 5)]
+    for v in (res.value, *res.x, *res.duals):
+        assert type(v) is Fraction
+    value = certify([1, 1], [[1, 2], [3, 1]], [4, 6], [F(8, 5), F(6, 5)], [F(2, 5), F(1, 5)])
+    assert type(value) is Fraction and value == F(14, 5)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except LpInternalError as e:
+        return str(e)
+
+
+def test_certify_matches_the_fraction_certifier_on_perturbed_pairs():
+    rng = SplitMix64(5)
+    deltas = [F(s * k, d) for s in (-1, 1) for k, d in ((1, 1), (1, 2), (1, 3), (2, 7))]
+    outcomes = {}
+    pairs = 0
+    for c, rows, rhs, ties in RATIONAL_PROGRAMS:
+        res = simplex_max(c, rows, rhs, ties)
+        for _ in range(15):
+            x, duals = list(res.x), list(res.duals)
+            for _ in range(rng.randint(0, 2)):
+                vec = x if rng.chance(0.5) else duals
+                vec[rng.randint(0, len(vec) - 1)] += deltas[rng.randint(0, len(deltas) - 1)]
+            got = _outcome(certify, c, rows, rhs, x, duals)
+            assert got == _outcome(fraction_certify_oracle, c, rows, rhs, x, duals)
+            outcomes[got if isinstance(got, str) else "certified"] = True
+            pairs += 1
+    assert pairs >= 3600
+    assert set(outcomes) == {
+        "certified",
+        "negative primal variable",
+        "primal constraint violated",
+        "negative dual variable",
+        "dual constraint violated",
+        "duality gap at claimed optimum",
+    }
