@@ -49,7 +49,6 @@ from .model import (
     Coalition,
     DiscreteMarket,
     DiscreteMatching,
-    SizeGuard,
     TuMarket,
     TuMatching,
     choice,

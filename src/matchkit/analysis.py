@@ -26,13 +26,10 @@ from .hypergraph import (
     iter_cycles,
 )
 from .model import (
-    DEFAULT_GUARD,
     DiscreteMarket,
-    SizeGuard,
     _Budget,
     check_guard,
     choice,
-    require_valid,
     satisfactory_sets,
 )
 
@@ -83,7 +80,7 @@ class Prop2Report:
     consistent: bool
 
 
-def demand_type(m: DiscreteMarket, guard: SizeGuard = DEFAULT_GUARD) -> DemandType:
+def demand_type(m: DiscreteMarket) -> DemandType:
     """All nonzero vectors chi_Ch(S) - chi_Ch(S') over pairs S' strictly
     inside S, per firm and pooled.
 
@@ -95,8 +92,7 @@ def demand_type(m: DiscreteMarket, guard: SizeGuard = DEFAULT_GUARD) -> DemandTy
     sets range over ``satisfactory_sets`` and the empty set: no subsets are
     enumerated.  The size guard is still checked, so oversized markets are
     refused as before."""
-    require_valid(m)
-    check_guard(m, guard)
+    check_guard(m)
     workers = tuple(sorted(m.workers))
     per_firm: dict[str, frozenset[tuple[int, ...]]] = {}
     for f in sorted(m.firms):
@@ -212,16 +208,11 @@ def _cycle_qualifies(m: DiscreteMarket, h, c: HyperCycle) -> bool:
     return True
 
 
-def prop1_check(
-    m: DiscreteMarket,
-    guard: SizeGuard = DEFAULT_GUARD,
-    budget: int = DEFAULT_BUDGET,
-) -> Prop1Verdict:
+def prop1_check(m: DiscreteMarket, budget: int = DEFAULT_BUDGET) -> Prop1Verdict:
     """Guaranteed iff no nontrivial odd cycle of the satisfactory-set
     hypergraph satisfies the pairwise-choice condition; the condition is
     evaluated lazily, cycle by cycle."""
-    require_valid(m)
-    check_guard(m, guard)
+    check_guard(m)
     h = build_hypergraph(m)
     for c in iter_cycles(h, odd_only=True, nontrivial_only=True, budget=budget):
         if _cycle_qualifies(m, h, c):
@@ -238,7 +229,6 @@ def tu_cycle_certificate(m: DiscreteMarket, c: HyperCycle) -> IntMatrix:
     first column from the rest; then drop each cycle-vertex firm's row
     together with its first column.
     """
-    require_valid(m)
     h = build_hypergraph(m)
     if not is_cycle(h, c):
         raise ValueError("not a cycle of the market's hypergraph")
@@ -289,16 +279,12 @@ def tu_cycle_certificate(m: DiscreteMarket, c: HyperCycle) -> IntMatrix:
     return result
 
 
-def prop2_relation(
-    m: DiscreteMarket,
-    guard: SizeGuard = DEFAULT_GUARD,
-    budget: int = DEFAULT_BUDGET,
-) -> Prop2Report:
+def prop2_relation(m: DiscreteMarket, budget: int = DEFAULT_BUDGET) -> Prop2Report:
     """Evaluate total unimodularity of the pooled demand type alongside the
     cycle condition; a totally unimodular demand type with a qualifying
     cycle would falsify the implication and is flagged."""
-    dt = demand_type(m, guard)
+    dt = demand_type(m)
     tu = is_totally_unimodular(dt.matrix(), budget)
-    p1 = prop1_check(m, guard, budget)
+    p1 = prop1_check(m, budget)
     consistent = not (tu.totally_unimodular and not p1.guaranteed)
     return Prop2Report(tu_verdict=tu, prop1=p1, consistent=consistent)

@@ -10,6 +10,12 @@ variable MATCHKIT_BUDGET overrides the default work budget of the exhaustive
 searches when no ``--budget`` flag is given; it is read on every ``main``
 call, while the argument parser is built once per process.  A budget that
 is not an integer, and a negative budget or ``--max-steps``, exit 2.
+
+Each input is checked once, where it enters: ``io.load_market`` builds the
+market, and the market constructors reject an invalid one with every
+violation in one ``InvalidMarketError`` (exit 2), before any kind check.
+``roadmap.theorem3_report`` checks the roadmap against the market the same
+way.
 """
 
 from __future__ import annotations
@@ -33,14 +39,9 @@ from .errors import (
     SizeGuardExceeded,
     WorkBudgetExceeded,
 )
-from .model import (
-    DiscreteMarket,
-    DiscreteMatching,
-    TuMarket,
-    require_valid,
-    tu_utilities,
-    validate_market,
-)
+from .model import DiscreteMarket, DiscreteMatching, TuMarket, tu_utilities
+# Not called here; kept as a module attribute that perfbench/tracing.py wraps.
+from .model import validate_market  # noqa: F401
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -121,17 +122,9 @@ def _matrix_facts(m) -> dict:
     }
 
 
-def _load_market_checked(path: str):
-    market = io.load_market(path)
-    problems = validate_market(market)
-    if problems:
-        raise InvalidMarketError("; ".join(problems))
-    return market
-
-
 def cmd_balance(args) -> int:
     t0 = time.perf_counter()
-    market = _load_market_checked(args.market)
+    market = io.load_market(args.market)
     if args.kind and market.kind != args.kind:
         raise MarketFormatError(
             f"file holds a {market.kind} market but --kind {args.kind} was given"
@@ -162,7 +155,7 @@ def _dual_facts(dual) -> dict:
 
 def cmd_solve_tu(args) -> int:
     t0 = time.perf_counter()
-    market = _load_market_checked(args.market)
+    market = io.load_market(args.market)
     if not isinstance(market, TuMarket):
         raise MarketFormatError("solve-tu needs a TU market file")
     report = tu_solver.find_stable_matching_tu(market, budget=args.budget)
@@ -189,7 +182,7 @@ def cmd_solve_tu(args) -> int:
 
 def cmd_solve_discrete(args) -> int:
     t0 = time.perf_counter()
-    market = _load_market_checked(args.market)
+    market = io.load_market(args.market)
     if not isinstance(market, DiscreteMarket):
         raise MarketFormatError("solve-discrete needs a discrete market file")
     inputs = {args.market: _digest(args.market)}
@@ -241,7 +234,7 @@ def cmd_solve_discrete(args) -> int:
 
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
-    market = _load_market_checked(args.market)
+    market = io.load_market(args.market)
     if not isinstance(market, DiscreteMarket):
         raise MarketFormatError("analyze needs a discrete market file")
     run_all = not (args.prop1 or args.demand_type or args.tu_check or args.certificate)
@@ -288,11 +281,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_roadmap(args) -> int:
     t0 = time.perf_counter()
-    market = _load_market_checked(args.market)
+    market = io.load_market(args.market)
     rm = io.load_roadmap(args.roadmap)
-    problems = roadmap.validate_roadmap(rm, market)
-    if problems:
-        raise InvalidMarketError("; ".join(problems))
     report = roadmap.theorem3_report(market, rm, budget=args.budget)
     h = hypergraph.build_hypergraph(market)
     facts = {
@@ -345,7 +335,6 @@ def cmd_gen(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    require_valid(market)
     io.write_json(args.out, io.serialize_market(market))
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -20,16 +20,13 @@ from dataclasses import dataclass
 
 from .model import (
     DEFAULT_BUDGET,
-    DEFAULT_GUARD,
     DiscreteMarket,
     DiscreteMatching,
-    SizeGuard,
     WorkerSet,
     _Budget,
     check_guard,
     choice,
     iter_disjoint_assignments,
-    require_valid,
     satisfactory_sets,
     set_key,
 )
@@ -128,7 +125,6 @@ def check_stable_discrete(
 
 def enumerate_stable_matchings(
     m: DiscreteMarket,
-    guard: SizeGuard = DEFAULT_GUARD,
     limit: int | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[DiscreteMatching]:
@@ -144,8 +140,7 @@ def enumerate_stable_matchings(
     order); otherwise the full list is returned sorted by assignment.  The
     search spends at most ``budget`` steps.
     """
-    require_valid(m)
-    check_guard(m, guard)
+    check_guard(m)
     firms = sorted(m.firms)
     options = []
     for f in firms:
@@ -240,7 +235,6 @@ def run_blocking_dynamics(
     first exact revisit of an earlier state, or when ``max_steps`` moves
     have been made and the state they reach is not stable.
     """
-    require_valid(m)
     states = [start]
     moves: list[DynamicsMove] = []
     seen = {start.key(): 0}

@@ -14,7 +14,7 @@ class MarketFormatError(MatchkitError):
 
 
 class SizeGuardExceeded(MatchkitError):
-    """Instance exceeds the configured size guard for exhaustive routines."""
+    """Instance exceeds the fixed size guard of the exhaustive routines."""
 
 
 class WorkBudgetExceeded(MatchkitError):

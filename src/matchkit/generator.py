@@ -15,6 +15,7 @@ deterministic; slight modulo bias is irrelevant for fuzzing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,14 @@ from .model import DEFAULT_GUARD, DiscreteMarket, TuMarket, WorkerSet
 from .roadmap import Roadmap, TechnologyPath, technology_paths
 
 MASK64 = (1 << 64) - 1
+
+
+@functools.lru_cache(maxsize=64)
+def _denominators(lo: Fraction, hi: Fraction, max_den: int) -> tuple[int, ...]:
+    """The denominators d <= max_den for which [lo, hi] holds some n/d."""
+    return tuple(
+        d for d in range(1, max_den + 1) if math.ceil(lo * d) <= math.floor(hi * d)
+    )
 
 
 class SplitMix64:
@@ -62,11 +71,7 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
     def fraction(self, lo: Fraction, hi: Fraction, max_den: int = 8) -> Fraction:
-        feasible = [
-            d
-            for d in range(1, max_den + 1)
-            if math.ceil(lo * d) <= math.floor(hi * d)
-        ]
+        feasible = _denominators(lo, hi, max_den)
         if not feasible:
             raise ValueError(f"no rational with denominator <= {max_den} in [{lo}, {hi}]")
         d = self.choice(feasible)
@@ -109,7 +114,7 @@ def validate_params(p: GenParams) -> None:
     lo, hi = p.value_range
     if hi < lo:
         raise ValueError("empty value range")
-    if not any(math.ceil(lo * d) <= math.floor(hi * d) for d in range(1, 9)):
+    if not _denominators(lo, hi, 8):
         raise ValueError("value range contains no rational with denominator <= 8")
 
 

@@ -61,6 +61,8 @@ def parse_market(data) -> Market:
                         f'firm {f}: each valuation needs "set" and "value"'
                     )
                 s = frozenset(_string_list(entry["set"], f"firm {f} set"))
+                if s in vals:
+                    raise MarketFormatError(f"firm {f}: set {sorted(s)} valued twice")
                 vals[s] = _rational(entry["value"], f"firm {f} value")
             firm_valuations[f] = vals
         worker_valuations = {}
@@ -156,8 +158,11 @@ def parse_roadmap(data) -> Roadmap:
         v: frozenset(_string_list(ws, f"technology {v}"))
         for v, ws in data["technologies"].items()
     }
+    raw_edges = data.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise MarketFormatError('roadmap "edges" must be an array')
     edges = []
-    for e in data.get("edges", []):
+    for e in raw_edges:
         pair = _string_list(e, "edge")
         if len(pair) != 2:
             raise MarketFormatError(f"edge {e!r} must have exactly two endpoints")
@@ -185,7 +190,7 @@ def to_canonical_json(obj) -> str:
 def load_json(path: str | Path):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise MarketFormatError(f"cannot read {path}: {e}")
     try:
         return json.loads(text)

@@ -4,6 +4,12 @@ Two market flavors share the same id conventions: agent ids are plain
 strings, firm and worker namespaces are disjoint within one market, and the
 null firm / empty set are never stored (absence encodes them).  All values
 are exact rationals; nothing here touches floating point.
+
+A market is checked once, when it is built: the constructors end with
+``require_valid``, so every ``TuMarket`` or ``DiscreteMarket`` in existence
+is valid (its dicts are not meant to be mutated afterwards) and no solver
+checks it again.  The exhaustive solvers refuse markets past one fixed
+size guard, ``DEFAULT_GUARD``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ def _freeze_set(s: Iterable[str]) -> WorkerSet:
 
 @dataclass(frozen=True)
 class SizeGuard:
-    """Limits under which the exhaustive solvers are allowed to run."""
+    """Limits under which the exhaustive solvers are allowed to run; the
+    solvers all use the one instance ``DEFAULT_GUARD``."""
 
     max_firms: int = 8
     max_workers: int = 12
@@ -68,6 +75,7 @@ class TuMarket:
         }
         object.__setattr__(self, "firm_valuations", fv)
         object.__setattr__(self, "worker_valuations", wv)
+        require_valid(self)
 
     @property
     def kind(self) -> str:
@@ -116,6 +124,7 @@ class DiscreteMarket:
         wp = {w: tuple(prefs) for w, prefs in self.worker_prefs.items()}
         object.__setattr__(self, "firm_prefs", fp)
         object.__setattr__(self, "worker_prefs", wp)
+        require_valid(self)
 
     @property
     def kind(self) -> str:
@@ -227,10 +236,11 @@ def require_valid(m: Market) -> None:
         raise InvalidMarketError("; ".join(problems))
 
 
-def check_guard(m: Market, guard: SizeGuard = DEFAULT_GUARD) -> None:
+def check_guard(m: Market) -> None:
     """Raise SizeGuardExceeded if the instance is too large for exhaustive
     solving (firm/worker counts; the coalition-count limb is checked by the
     TU solver once the coalition family is built)."""
+    guard = DEFAULT_GUARD
     if len(m.firms) > guard.max_firms:
         raise SizeGuardExceeded(f"{len(m.firms)} firms > guard {guard.max_firms}")
     if len(m.workers) > guard.max_workers:

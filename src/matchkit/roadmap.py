@@ -20,7 +20,6 @@ from .model import (
     WorkerSet,
     _Budget,
     iter_disjoint_assignments,
-    require_valid,
 )
 
 
@@ -199,10 +198,10 @@ def technology_paths(r: Roadmap) -> list[TechnologyPath]:
 
 
 def _covering_paths(m: Market, r: Roadmap) -> dict[str, list[TechnologyPath]]:
-    """Validate both inputs, then list for each firm with acceptable sets (in
-    id order) the technology paths whose demanded sets include all of them.
-    Firms with no acceptable sets constrain nothing and are left out."""
-    require_valid(m)
+    """Validate the roadmap against the market, then list for each firm with
+    acceptable sets (in id order) the technology paths whose demanded sets
+    include all of them.  Firms with no acceptable sets constrain nothing
+    and are left out."""
     require_valid_roadmap(r, m)
     paths = technology_paths(r)
     covering = {}
@@ -260,7 +259,6 @@ def theorem3_report(
     hypotheses hold yet the hypergraph is unbalanced is flagged.  The
     specialization search and the cycle search each spend at most
     ``budget`` steps."""
-    require_valid(m)
     require_valid_roadmap(r, m)
     non_specialists = tuple(
         w for w in sorted(m.workers) if not is_specialist(r, w)

@@ -17,7 +17,6 @@ from .model import (
     Coalition,
     DEFAULT_BUDGET,
     DEFAULT_GUARD,
-    SizeGuard,
     TuMarket,
     TuMatching,
     WorkerSet,
@@ -25,7 +24,6 @@ from .model import (
     check_guard,
     coalition_value,
     iter_disjoint_assignments,
-    require_valid,
     set_key,
     tu_utilities,
     validate_tu_matching,
@@ -102,26 +100,24 @@ def potential_coalitions(m: TuMarket) -> list[Coalition]:
     return out
 
 
-def build_lp_problem(m: TuMarket, guard: SizeGuard = DEFAULT_GUARD) -> TuLpProblem:
-    require_valid(m)
-    check_guard(m, guard)
+def build_lp_problem(m: TuMarket) -> TuLpProblem:
+    check_guard(m)
     coalitions = tuple(potential_coalitions(m))
-    if len(coalitions) > guard.max_coalitions:
+    if len(coalitions) > DEFAULT_GUARD.max_coalitions:
         raise SizeGuardExceeded(
-            f"{len(coalitions)} coalitions > guard {guard.max_coalitions}"
+            f"{len(coalitions)} coalitions > guard {DEFAULT_GUARD.max_coalitions}"
         )
     values = tuple(coalition_value(m, c) for c in coalitions)
     return TuLpProblem(agents=agent_order(m), coalitions=coalitions, values=values)
 
 
 def max_partition_value(
-    m: TuMarket, guard: SizeGuard = DEFAULT_GUARD, budget: int = DEFAULT_BUDGET
+    m: TuMarket, budget: int = DEFAULT_BUDGET
 ) -> tuple[Fraction, dict[str, WorkerSet]]:
     """Best aggregate value over all assignments of disjoint firm coalitions
     (or none) to firms, by exhaustive search; returns the
     lexicographically-first maximizer in (firm order, set order)."""
-    require_valid(m)
-    check_guard(m, guard)
+    check_guard(m)
     coalitions = [c for c in potential_coalitions(m) if c.firm is not None]
     values = [coalition_value(m, c) for c in coalitions]
     # Totals are summed as integers over a common denominator: exact, and
@@ -249,16 +245,14 @@ def check_stable_tu(m: TuMarket, mu: TuMatching) -> TuStabilityVerdict:
 
 
 def find_stable_matching_tu(
-    m: TuMarket,
-    guard: SizeGuard = DEFAULT_GUARD,
-    budget: int = DEFAULT_BUDGET,
+    m: TuMarket, budget: int = DEFAULT_BUDGET
 ) -> TuStabilityReport:
     """Decide stable-matching existence: stable with (mu, p) when the LP
     value equals the best partition value, otherwise unstable with the
     fractional cover as certificate.  The partition search spends at most
     ``budget`` steps."""
-    problem = build_lp_problem(m, guard)
-    vbar, partition = max_partition_value(m, guard, budget)
+    problem = build_lp_problem(m)
+    vbar, partition = max_partition_value(m, budget)
     x, dual = solve_lp(problem)
     vtilde = dual.value
     if vtilde < vbar:

@@ -18,7 +18,6 @@ from matchkit.errors import SizeGuardExceeded
 from matchkit.generator import GenParams, SplitMix64, gen_discrete_market
 from matchkit.io import load_market
 from matchkit.model import (
-    SizeGuard,
     _Budget,
     iter_disjoint_assignments,
     satisfactory_sets,
@@ -220,9 +219,11 @@ class TestEnumerate:
         assert len(found) == 1
         assert check_stable_discrete(marriage, found[0]).stable
 
-    def test_guard(self, marriage):
-        with pytest.raises(SizeGuardExceeded):
-            enumerate_stable_matchings(marriage, guard=SizeGuard(max_workers=1))
+    def test_guard(self):
+        workers = {f"w{i:02d}" for i in range(13)}
+        m = DiscreteMarket(firms={"f"}, workers=workers, firm_prefs={}, worker_prefs={})
+        with pytest.raises(SizeGuardExceeded, match="13 workers > guard 12"):
+            enumerate_stable_matchings(m)
 
     def test_marriage_markets_always_have_stable_matchings(self):
         for seed in range(80):

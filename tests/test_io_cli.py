@@ -92,6 +92,20 @@ class TestFormatErrors:
         with pytest.raises(MarketFormatError):
             parse_market(data)
 
+    def test_tu_set_valued_twice(self):
+        data = {
+            "kind": "tu",
+            "firms": {"f": [{"set": ["w"], "value": "1"}, {"set": ["w"], "value": "9"}]},
+            "workers": {"w": {"f": "0"}},
+        }
+        with pytest.raises(MarketFormatError, match=r"firm f: set \['w'\] valued twice"):
+            parse_market(data)
+
+    @pytest.mark.parametrize("edges", [5, None, "v1"])
+    def test_roadmap_edges_not_an_array(self, edges):
+        with pytest.raises(MarketFormatError, match='"edges" must be an array'):
+            parse_roadmap({"technologies": {"v1": ["w1"]}, "edges": edges})
+
 
 class TestCmdBalance:
     def test_intro_discrete_unbalanced(self, capsys):
@@ -113,6 +127,12 @@ class TestCmdBalance:
 
     def test_kind_mismatch(self):
         assert main(["balance", fixture("intro_tu.json"), "--kind", "discrete"]) == 2
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "market.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["balance", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
     def test_budget_exhaustion_exit_code(self):
         code = main(["balance", fixture("example1_tu.json"), "--budget", "2"])
@@ -338,6 +358,61 @@ class TestCmdGen:
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
+
+
+INVALID_TU = {
+    "kind": "tu",
+    "firms": {"f": [{"set": ["w", "ghost"], "value": "1"}]},
+    "workers": {"w": {"f": "0", "g": "1"}},
+}
+INVALID_TU_ERR = (
+    "error: firm 'f' set ('ghost', 'w') references unknown workers ['ghost']; "
+    "worker 'w' values unknown firm 'g'\n"
+)
+INVALID_DISCRETE = {
+    "kind": "discrete",
+    "firms": {"f": [["w"], ["w"]], "a": []},
+    "workers": {"w": ["f", "f"], "a": []},
+}
+INVALID_DISCRETE_ERR = (
+    "error: ids used as both firm and worker: ['a']; firm 'f' ranks ('w',) twice; "
+    "worker 'w' lists a firm twice\n"
+)
+
+
+class TestInvalidMarketContract:
+    """A well-formed file holding an invalid market exits 2 with every
+    violation on stderr, whatever the command and before any kind check."""
+
+    @pytest.mark.parametrize(
+        "argv,market,err",
+        [
+            (["balance"], INVALID_TU, INVALID_TU_ERR),
+            (["balance"], INVALID_DISCRETE, INVALID_DISCRETE_ERR),
+            (["solve-tu"], INVALID_TU, INVALID_TU_ERR),
+            (["solve-tu"], INVALID_DISCRETE, INVALID_DISCRETE_ERR),
+            (["solve-discrete"], INVALID_DISCRETE, INVALID_DISCRETE_ERR),
+            (["solve-discrete"], INVALID_TU, INVALID_TU_ERR),
+            (["analyze"], INVALID_DISCRETE, INVALID_DISCRETE_ERR),
+            (["roadmap", fixture("example4_roadmap.json")], INVALID_DISCRETE,
+             INVALID_DISCRETE_ERR),
+            (["roadmap", fixture("example4_roadmap.json")], INVALID_TU, INVALID_TU_ERR),
+        ],
+    )
+    def test_exit_2_with_the_violations(self, argv, market, err, tmp_path, capsys):
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(market), encoding="utf-8")
+        assert main([*argv, str(path)]) == 2
+        assert capsys.readouterr() == ("", err)
+
+    def test_invalid_roadmap(self, capsys):
+        code = main([
+            "roadmap", fixture("cyclic_roadmap.json"), fixture("intro_discrete.json"),
+        ])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: 3 edges for 3 vertices (a tree needs exactly |V|-1)\n"
+        )
 
 
 class TestReportRendering:

@@ -13,7 +13,7 @@ from matchkit import (
     tu_utilities,
     validate_market,
 )
-from matchkit.errors import WorkBudgetExceeded
+from matchkit.errors import InvalidMarketError, WorkBudgetExceeded
 from matchkit.generator import GenParams, gen_discrete_market
 from matchkit.model import _Budget, iter_disjoint_assignments, set_key
 
@@ -32,46 +32,44 @@ class TestValidateMarket:
         assert validate_market(m) == []
 
     def test_duplicate_set_in_pref_list(self):
-        m = DiscreteMarket(
-            firms={"f"},
-            workers={"w"},
-            firm_prefs={"f": (fs({"w"}), fs({"w"}))},
-            worker_prefs={"w": ("f",)},
-        )
-        assert any("twice" in p for p in validate_market(m))
+        with pytest.raises(InvalidMarketError, match=r"^firm 'f' ranks \('w',\) twice$"):
+            DiscreteMarket(
+                firms={"f"},
+                workers={"w"},
+                firm_prefs={"f": (fs({"w"}), fs({"w"}))},
+                worker_prefs={"w": ("f",)},
+            )
 
     def test_unknown_worker_in_set(self):
-        m = TuMarket(
-            firms={"f"},
-            workers={"w"},
-            firm_valuations={"f": {fs({"w", "ghost"}): 1}},
-            worker_valuations={"w": {}},
-        )
-        assert any("unknown workers" in p for p in validate_market(m))
+        with pytest.raises(InvalidMarketError, match=r"references unknown workers \['ghost'\]"):
+            TuMarket(
+                firms={"f"},
+                workers={"w"},
+                firm_valuations={"f": {fs({"w", "ghost"}): 1}},
+                worker_valuations={"w": {}},
+            )
 
     def test_overlapping_namespaces(self):
-        m = DiscreteMarket(
-            firms={"a"}, workers={"a"}, firm_prefs={}, worker_prefs={}
-        )
-        assert any("both firm and worker" in p for p in validate_market(m))
+        with pytest.raises(InvalidMarketError, match="both firm and worker"):
+            DiscreteMarket(firms={"a"}, workers={"a"}, firm_prefs={}, worker_prefs={})
 
     def test_empty_set_rejected(self):
-        m = DiscreteMarket(
-            firms={"f"},
-            workers={"w"},
-            firm_prefs={"f": (fs(),)},
-            worker_prefs={},
-        )
-        assert any("empty set" in p for p in validate_market(m))
+        with pytest.raises(InvalidMarketError, match="empty set"):
+            DiscreteMarket(
+                firms={"f"},
+                workers={"w"},
+                firm_prefs={"f": (fs(),)},
+                worker_prefs={},
+            )
 
     def test_duplicate_firm_in_worker_list(self):
-        m = DiscreteMarket(
-            firms={"f"},
-            workers={"w"},
-            firm_prefs={},
-            worker_prefs={"w": ("f", "f")},
-        )
-        assert any("twice" in p for p in validate_market(m))
+        with pytest.raises(InvalidMarketError, match="^worker 'w' lists a firm twice$"):
+            DiscreteMarket(
+                firms={"f"},
+                workers={"w"},
+                firm_prefs={},
+                worker_prefs={"w": ("f", "f")},
+            )
 
 
 class TestChoice:

@@ -22,7 +22,6 @@ from matchkit import tu_solver
 from matchkit.errors import CertificateError, SizeGuardExceeded, WorkBudgetExceeded
 from matchkit.generator import GenParams, SplitMix64, gen_tu_market
 from matchkit.io import load_market
-from matchkit.model import SizeGuard
 from matchkit.simplex import simplex_max
 
 F = Fraction
@@ -169,9 +168,11 @@ class TestMaxPartitionValue:
         assert value == 0
         assert mu == {"f": fs()}
 
-    def test_guard(self, intro_tu):
-        with pytest.raises(SizeGuardExceeded):
-            max_partition_value(intro_tu, guard=SizeGuard(max_firms=1))
+    def test_guard(self):
+        firms = {f"f{i}" for i in range(9)}
+        m = TuMarket(firms=firms, workers=set(), firm_valuations={}, worker_valuations={})
+        with pytest.raises(SizeGuardExceeded, match="9 firms > guard 8"):
+            max_partition_value(m)
 
     def test_budget(self, example1_tu):
         with pytest.raises(WorkBudgetExceeded, match="partition search"):
@@ -222,6 +223,19 @@ class TestSolveLp:
             for a in c.members():
                 coverage[a] = coverage.get(a, F(0)) + w
         assert all(v == 1 for v in coverage.values())
+
+    def test_coverage_weights_come_from_their_own_solve(self):
+        # The coverage optimum of this market is not unique.  The Bland solve
+        # from the all-singletons basis picks {f3,w3,w6}; the stage-1 duals of
+        # the lexicographic price tableau pick {f4,w3,w4}.  The reported
+        # weights are output bytes, so the second solve stays.
+        m = gen_tu_market(GenParams(seed=71, **SUITE_PARAMS))
+        _, dual = solve_lp(build_lp_problem(m))
+        assert dual.value == F(85, 6)
+        assert {c.label(): w for c, w in dual.weights.items()} == {
+            "{f1}": 1, "{f2}": 1, "{f3,w3,w6}": 1, "{f4}": 1,
+            "{w1}": 1, "{w2}": 1, "{w4}": 1, "{w5}": 1,
+        }
 
 
 class TestFindStable:
