@@ -34,6 +34,10 @@ def _freeze_set(s: Iterable[str]) -> WorkerSet:
     return s if isinstance(s, frozenset) else frozenset(s)
 
 
+def _fraction(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
+
+
 @dataclass(frozen=True)
 class SizeGuard:
     """Limits under which the exhaustive solvers are allowed to run; the
@@ -66,11 +70,11 @@ class TuMarket:
         object.__setattr__(self, "firms", frozenset(self.firms))
         object.__setattr__(self, "workers", frozenset(self.workers))
         fv = {
-            f: {_freeze_set(s): Fraction(v) for s, v in vals.items()}
+            f: {_freeze_set(s): _fraction(v) for s, v in vals.items()}
             for f, vals in self.firm_valuations.items()
         }
         wv = {
-            w: {f: Fraction(v) for f, v in vals.items()}
+            w: {f: _fraction(v) for f, v in vals.items()}
             for w, vals in self.worker_valuations.items()
         }
         object.__setattr__(self, "firm_valuations", fv)
@@ -409,7 +413,7 @@ class TuMatching:
     def __post_init__(self):
         object.__setattr__(self, "assignment", dict(self.assignment))
         object.__setattr__(
-            self, "prices", {w: Fraction(p) for w, p in self.prices.items()}
+            self, "prices", {w: _fraction(p) for w, p in self.prices.items()}
         )
 
     def firm_of(self, w: str) -> str | None:

@@ -258,8 +258,7 @@ def theorem3_report(
     and the hypergraph conclusion; a counterexample instance where both
     hypotheses hold yet the hypergraph is unbalanced is flagged.  The
     specialization search and the cycle search each spend at most
-    ``budget`` steps."""
-    require_valid_roadmap(r, m)
+    ``budget`` steps.  ``check_specialized`` validates the roadmap."""
     non_specialists = tuple(
         w for w in sorted(m.workers) if not is_specialist(r, w)
     )

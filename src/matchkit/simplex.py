@@ -2,11 +2,14 @@
 
 Solves  max c.x  subject to  A x <= b,  x >= 0  with Bland's smallest-index
 anti-cycling rule and a phase-1 round (artificial variables) whenever some
-right-hand side is negative.  Tie-breaking objectives are then maximized in
-turn over the optimal face, in the same tableau: the lexicographic simplex
-of Dantzig, Orden & Wolfe (1955).  Every solve is certified before
-returning: primal feasibility, dual feasibility, and exact equality of the
-two objective values.
+right-hand side is negative.  With ``lex_duals`` the leaving row is chosen
+by the lexicographic rule of Dantzig, Orden & Wolfe (1955) instead: ratio
+ties are broken on the rows of B^-1 (the slack columns), as if the i-th
+right-hand side were raised by eps^i.  The final basis is then optimal for
+that perturbed program, so its duals are the lexicographically least
+optimal dual point: least b.y, then least y_1, then y_2 and so on.  Every
+solve is certified before returning: primal feasibility, dual feasibility,
+and exact equality of the two objective values.
 
 Inputs may be ``int`` or ``Fraction``; outputs are ``Fraction``.  Inside,
 each tableau row (and each reduced-cost row) is a list of ``int``
@@ -20,7 +23,6 @@ over common denominators.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -65,12 +67,15 @@ def simplex_max(
     c: list[Fraction],
     rows: list[list[Fraction]],
     rhs: list[Fraction],
-    ties: Sequence[list[Fraction]] = (),
+    lex_duals: bool = False,
 ) -> LpResult:
-    """Maximize c.x s.t. rows[i].x <= rhs[i] for all i, x >= 0; then
-    maximize each objective in ``ties`` in turn over the points optimal for
-    all objectives before it.  ``value`` and ``duals`` belong to ``c``."""
+    """Maximize c.x s.t. rows[i].x <= rhs[i] for all i, x >= 0.  With
+    ``lex_duals`` the leaving rule is lexicographic, so ``duals`` is the
+    lexicographically least optimal dual point; that rule starts from the
+    slack basis and needs every right-hand side nonnegative."""
     m, n = len(rows), len(c)
+    if lex_duals and any(b < 0 for b in rhs):
+        raise ValueError("lex_duals needs a nonnegative right-hand side")
 
     # Tableau columns: n decision vars, m slacks, then (phase 1 only) one
     # artificial per negated row, then the right-hand side.  Row i holds
@@ -115,14 +120,26 @@ def simplex_max(
                 tab[i], den[i] = _eliminate(tab[i], den[i], tab[i][col], prow, p)
         basis[r] = col
 
-    def run(red: list[int], rd: int, allowed: list[int]) -> tuple[list[int], int]:
-        # Bland: entering = lowest-index allowed column with positive reduced
-        # cost; leaving = min ratio, ties by lowest basic-variable index.
-        # Row denominators cancel in a ratio, and ratios are compared by
+    def lex_first(i: int, a: int, leave: int, b: int) -> bool:
+        # Row i over its pivot entry a precedes row ``leave`` over b on the
+        # slack columns, the rows of B^-1.  Those rows are linearly
+        # independent, so some column tells them apart.
+        row, best = tab[i], tab[leave]
+        for k in range(n, n + m):
+            u, v = row[k] * b, best[k] * a
+            if u != v:
+                return u < v
+        return False
+
+    def run(red: list[int], rd: int) -> tuple[list[int], int]:
+        # Bland: entering = lowest-index column with positive reduced cost
+        # (artificials never re-enter); leaving = min ratio, ties by lowest
+        # basic-variable index or, with lex_duals, lexicographically.  Row
+        # denominators cancel in a ratio, and ratios are compared by
         # cross-multiplying with positive denominators.
         while True:
             enter = -1
-            for j in allowed:
+            for j in range(n + m):
                 if red[j] > 0:
                     enter = j
                     break
@@ -135,7 +152,12 @@ def simplex_max(
                 if a > 0:
                     num = tab[i][-1]
                     if leave < 0 or num * best_den < best_num * a or (
-                        num * best_den == best_num * a and basis[i] < basis[leave]
+                        num * best_den == best_num * a
+                        and (
+                            lex_first(i, a, leave, best_den)
+                            if lex_duals
+                            else basis[i] < basis[leave]
+                        )
                     ):
                         best_num, best_den = num, a
                         leave = i
@@ -144,18 +166,6 @@ def simplex_max(
             pivot(leave, enter)
             red, rd = _eliminate(red, rd, red[enter], tab[leave], den[leave])
 
-    def reduced(obj) -> tuple[list[int], int]:
-        # Reduced costs of ``obj`` (zero on slacks) in the current basis.
-        red, rd = _scaled(obj)
-        red += [0] * (m + n_art)
-        for i in range(m):
-            f = red[basis[i]]
-            if f:
-                red, rd = _eliminate(red, rd, f, tab[i], den[i])
-        return red, rd
-
-    allowed = list(range(n + m))
-
     if n_art:
         # Phase 1: drive the artificials (basic, cost -1) to zero.
         rd = lcm(*(den[i] for i in neg))
@@ -163,7 +173,7 @@ def simplex_max(
             sum(tab[i][j] * (rd // den[i]) for i in neg) if j < n + m else 0
             for j in range(width)
         ]
-        red, rd = run(red, rd, allowed)
+        red, rd = run(red, rd)
         # Basic values are nonnegative: they sum to zero only if each is zero.
         if any(tab[i][-1] for i in range(m) if basis[i] >= n + m):
             raise LpInternalError("linear program is infeasible")
@@ -178,15 +188,16 @@ def simplex_max(
                 else:
                     raise LpInternalError("degenerate artificial row")
 
-    # Phase 2 on the real objective.
-    red, rd = run(*reduced(c), allowed)
+    # Phase 2 on the real objective, from the reduced costs of c (zero on
+    # slacks) in the current basis.
+    red, rd = _scaled(c)
+    red += [0] * (m + n_art)
+    for i in range(m):
+        f = red[basis[i]]
+        if f:
+            red, rd = _eliminate(red, rd, f, tab[i], den[i])
+    red, rd = run(red, rd)
     duals = [Fraction(-red[n + i], rd) for i in range(m)]
-    for obj in ties:
-        # A column with nonzero reduced cost would leave the optimal face:
-        # freeze it.  Pivots on the remaining columns leave the earlier
-        # objectives' reduced costs, hence ``duals``, unchanged.
-        allowed = [j for j in allowed if red[j] == 0]
-        red, rd = run(*reduced(obj), allowed)
 
     x = [Fraction(0)] * n
     for i in range(m):

@@ -4,6 +4,12 @@ The fractional cover program over singleton and firm coalitions is solved
 exactly; its value equals the best integral partition value precisely when
 a stable matching exists, in which case prices fall out of the binding
 coalition constraints of the optimal partition.
+
+The coverage program is solved twice from the all-singletons basis: once
+under Bland's rule for the reported coalition weights, and once under the
+lexicographic leaving rule, whose duals are the lexicographically least
+optimal primal point, hence the reported prices.  The best partition comes
+from a dynamic program over (firm, used-worker bitmask).
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from .model import (
     _Budget,
     check_guard,
     coalition_value,
-    iter_disjoint_assignments,
     set_key,
     tu_utilities,
     validate_tu_matching,
@@ -115,30 +120,54 @@ def max_partition_value(
     m: TuMarket, budget: int = DEFAULT_BUDGET
 ) -> tuple[Fraction, dict[str, WorkerSet]]:
     """Best aggregate value over all assignments of disjoint firm coalitions
-    (or none) to firms, by exhaustive search; returns the
-    lexicographically-first maximizer in (firm order, set order)."""
+    (or none) to firms, by dynamic programming over (firm, used workers);
+    returns the lexicographically-first maximizer in (firm order, set
+    order).  Each (state, option) pair evaluated spends one budget step."""
     check_guard(m)
     coalitions = [c for c in potential_coalitions(m) if c.firm is not None]
     values = [coalition_value(m, c) for c in coalitions]
     # Totals are summed as integers over a common denominator: exact, and
-    # much cheaper per assignment than adding Fractions.
+    # much cheaper than adding Fractions.
     scale = math.lcm(*(v.denominator for v in values))
+    bit = {w: 1 << k for k, w in enumerate(sorted(m.workers))}
     # A firm's singleton, listed before its other coalitions, is the empty set.
     options: dict[str, list] = {f: [] for f in sorted(m.firms)}
     for c, v in zip(coalitions, values):
-        options[c.firm].append((c.workers, (c.workers, int(v * scale))))
+        mask = sum(bit[w] for w in c.workers)
+        options[c.firm].append((c.workers, mask, v.numerator * (scale // v.denominator)))
+    slots = list(options.values())
+    memo: list[dict[int, int]] = [{} for _ in slots]
+    steps = _Budget(budget, "partition search")
 
-    # The all-empty assignment (value 0) is always feasible.
-    best_total = 0
-    best = [(frozenset(), 0)] * len(options)
-    search = iter_disjoint_assignments(
-        list(options.values()), _Budget(budget, "partition search")
-    )
-    for picked in search:
-        total = sum(v for _, v in picked)
-        if total > best_total:
-            best_total, best = total, picked
-    return Fraction(best_total, scale), {f: s for f, (s, _) in zip(options, best)}
+    def best(i: int, used: int) -> int:
+        # Best total of firms i, i+1, ... given the workers in ``used``.
+        if i == len(slots):
+            return 0
+        top = memo[i].get(used)
+        if top is None:
+            for _, mask, v in slots[i]:
+                steps.spend()
+                if not mask & used:
+                    total = v + best(i + 1, used | mask)
+                    if top is None or total > top:
+                        top = total
+            memo[i][used] = top
+        return top
+
+    # Forward: each firm takes its first option that keeps the best total,
+    # which yields the first maximizer in product order.  Every state read
+    # here was filled in by the search above.
+    total = target = best(0, 0)
+    used = 0
+    partition = {}
+    for i, (f, opts) in enumerate(options.items()):
+        for s, mask, v in opts:
+            if not mask & used and v + best(i + 1, used | mask) == target:
+                partition[f] = s
+                used |= mask
+                target -= v
+                break
+    return Fraction(total, scale), partition
 
 
 def solve_lp(problem: TuLpProblem) -> tuple[dict[str, Fraction], DualSolution]:
@@ -185,11 +214,10 @@ def solve_lp(problem: TuLpProblem) -> tuple[dict[str, Fraction], DualSolution]:
 def _lex_min_primal(rows, objective):
     """The lexicographically least optimal point of  min sum x  s.t.
     rows^T x >= objective,  x >= 0: minimize the sum, then x_1, x_2, ...
-    over the optimal face, in one simplex tableau."""
-    n = len(rows)
-    primal = [[-r[j] for r in rows] for j in range(len(objective))]
-    ties = [[-int(k == i) for k in range(n)] for i in range(n)]
-    return simplex_max([-1] * n, primal, [-v for v in objective], ties).x
+    over the optimal face.  It is the dual point of the coverage program
+    max objective.w  s.t.  rows w <= 1,  w >= 0  solved under the
+    lexicographic leaving rule."""
+    return simplex_max(objective, rows, [1] * len(rows), lex_duals=True).duals
 
 
 def check_stable_tu(m: TuMarket, mu: TuMatching) -> TuStabilityVerdict:

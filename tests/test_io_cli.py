@@ -1,16 +1,23 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from matchkit import DiscreteMatching, TuMatching
+from matchkit import DiscreteMatching, TuMarket, TuMatching
 from matchkit import cli
 from matchkit.cli import build_parser, main
 from matchkit.errors import MarketFormatError
-from matchkit.generator import GenParams, gen_discrete_market, gen_roadmap_instance, gen_tu_market
+from matchkit.generator import (
+    GenParams,
+    SplitMix64,
+    gen_discrete_market,
+    gen_roadmap_instance,
+    gen_tu_market,
+)
 from matchkit.io import (
     parse_market,
     parse_matching,
@@ -154,6 +161,26 @@ class TestCmdBalance:
 
 
 class TestCmdSolveTu:
+    def test_complete_game_at_the_guard(self, tmp_path, capsys):
+        # 8 firms by 12 workers, every firm valuing every single worker: the
+        # largest complete assignment game inside the size guard.
+        rng = SplitMix64(0)
+        firms = [f"f{i}" for i in range(8)]
+        workers = [f"w{j}" for j in range(12)]
+        market = TuMarket(
+            firms=set(firms),
+            workers=set(workers),
+            firm_valuations={f: {frozenset({w}): rng.randint(0, 10) for w in workers} for f in firms},
+            worker_valuations={w: {f: rng.randint(0, 3) for f in firms} for w in workers},
+        )
+        path = tmp_path / "complete_8x12.json"
+        path.write_text(json.dumps(serialize_market(market)), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["solve-tu", str(path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert main(["solve-tu", str(path), "--budget", "2"]) == 3
+        assert "partition search budget exhausted" in capsys.readouterr().err
+
     def test_intro_unstable_with_certificate(self, capsys):
         code = main(["solve-tu", fixture("intro_tu.json"), "--format", "json"])
         report = json.loads(capsys.readouterr().out)

@@ -13,9 +13,14 @@ ZERO = F(0)
 ONE = F(1)
 
 
-def dense_simplex_max(c, rows, rhs, ties=()):
+def dense_simplex_max(c, rows, rhs, ties=(), lex_duals=False):
     """Reference: simplex_max with dense pivots, updating every column of
-    every row and every allowed reduced cost, zero or not."""
+    every row and every allowed reduced cost, zero or not; then maximize
+    each objective in ``ties`` in turn over the points optimal for all
+    objectives before it (the lexicographic simplex run as tie stages).
+    ``value`` and ``duals`` belong to ``c``.  With ``lex_duals``, a ratio
+    tie goes to the row whose slack entries over its pivot entry come
+    first lexicographically."""
     m, n = len(rows), len(c)
     c = [Fraction(v) for v in c]
     b = [Fraction(v) for v in rhs]
@@ -68,7 +73,13 @@ def dense_simplex_max(c, rows, rhs, ties=()):
                 if a > 0:
                     ratio = tab[i][-1] / a
                     if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]
+                        ratio == best
+                        and (
+                            [tab[i][n + k] / a for k in range(m)]
+                            < [tab[leave][n + k] / tab[leave][enter] for k in range(m)]
+                            if lex_duals
+                            else basis[i] < basis[leave]
+                        )
                     ):
                         best = ratio
                         leave = i
@@ -232,7 +243,7 @@ def test_ties_match_sequential_scipy_on_random_instances():
     rng = SplitMix64(2024)
     for c, rows, rhs in _random_instances(rng):
         ties = tuple([F(rng.randint(-3, 3)) for _ in c] for _ in range(2))
-        res = simplex_max(c, rows, rhs, ties=ties)
+        res = dense_simplex_max(c, rows, rhs, ties=ties)
         ref_rows, ref_rhs = list(rows), list(rhs)
         for obj in (c,) + ties:
             best = _linprog_max(linprog, obj, ref_rows, ref_rhs)
@@ -249,7 +260,7 @@ def test_ties_pick_a_vertex_of_an_optimal_edge():
     for tie, vertex in (([F(1), F(0)], [F(3, 2), F(1, 2)]),
                         ([F(0), F(1)], [F(1, 2), F(3, 2)]),
                         ([F(-1), F(0)], [F(1, 2), F(3, 2)])):
-        res = simplex_max([F(1), F(1)], rows, rhs, ties=(tie,))
+        res = dense_simplex_max([F(1), F(1)], rows, rhs, ties=(tie,))
         assert res.x == vertex
         assert res.value == 2
         assert res.duals == [F(1), F(0), F(0)]
@@ -261,7 +272,7 @@ def test_later_ties_stay_on_the_earlier_optimal_face():
     rows = [[F(1), F(1), F(1)], [F(0), F(1), F(0)]]
     rhs = [F(1), F(1, 3)]
     ones = [F(1)] * 3
-    res = simplex_max(ones, rows, rhs, ties=([F(-1), F(0), F(0)], [F(1), F(1), F(-1)]))
+    res = dense_simplex_max(ones, rows, rhs, ties=([F(-1), F(0), F(0)], [F(1), F(1), F(-1)]))
     assert res.x == [F(0), F(1, 3), F(2, 3)]
 
 
@@ -276,7 +287,7 @@ def test_ties_on_a_degenerate_program():
     ]
     rhs = [F(1)] * 4
     ties = ([F(-1), F(0), F(0)], [F(0), F(-1), F(0)], [F(0), F(0), F(-1)])
-    res = simplex_max([F(1)] * 3, rows, rhs, ties=ties)
+    res = dense_simplex_max([F(1)] * 3, rows, rhs, ties=ties)
     assert res.x == [F(0), F(0), F(1)]
     assert res.value == 1
 
@@ -286,7 +297,7 @@ def test_ties_after_phase_one():
     # optimal point (1/2, 3/2) once x is minimized.
     rows = [[F(-1), F(-1)], [F(-1), F(0)]]
     rhs = [F(-2), F(-1, 2)]
-    res = simplex_max([F(-1), F(-1)], rows, rhs, ties=([F(-1), F(0)],))
+    res = dense_simplex_max([F(-1), F(-1)], rows, rhs, ties=([F(-1), F(0)],))
     assert res.x == [F(1, 2), F(3, 2)]
     assert res.value == -2
 
@@ -294,7 +305,7 @@ def test_ties_after_phase_one():
 def test_unbounded_tie_detected():
     # max -x  s.t.  x - y <= 0: the optimal face x = 0 leaves y unbounded.
     with pytest.raises(LpInternalError):
-        simplex_max([F(-1), F(0)], [[F(1), F(-1)]], [F(0)], ties=([F(0), F(1)],))
+        dense_simplex_max([F(-1), F(0)], [[F(1), F(-1)]], [F(0)], ties=([F(0), F(1)],))
 
 
 def test_certify_rejects_a_suboptimal_pair():
@@ -314,7 +325,7 @@ def test_certify_rejects_a_suboptimal_pair():
 def _sparse_programs(rng, count):
     """Feasible, bounded programs with mostly-zero rows: a random point x0
     fixes the right-hand sides (often tight, often negative, so phase 1 and
-    degenerate ties occur), and every variable is capped."""
+    degenerate ratio ties occur), and every variable is capped."""
     for _ in range(count):
         n = rng.randint(1, 6)
         m = rng.randint(1, 6)
@@ -329,24 +340,30 @@ def _sparse_programs(rng, count):
             rows.append([F(int(k == j)) for k in range(n)])
             rhs.append(F(10))
         c = [F(rng.randint(-3, 3)) for _ in range(n)]
-        ties = tuple(
-            [F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(0, 3))
-        )
-        yield c, rows, rhs, ties
+        yield c, rows, rhs
 
 
-def _same_result(c, rows, rhs, ties):
-    got = simplex_max(c, rows, rhs, ties)
-    ref = dense_simplex_max(c, rows, rhs, ties)
+def _same_result(c, rows, rhs, **kwargs):
+    got = simplex_max(c, rows, rhs, **kwargs)
+    ref = dense_simplex_max(c, rows, rhs, **kwargs)
     assert (got.x, got.duals, got.value) == (ref.x, ref.duals, ref.value)
 
 
-def test_sparse_pivots_match_dense_pivots_on_random_programs():
+def _same_results(programs):
+    """Sparse against dense on each program, and under the lexicographic
+    rule too wherever it applies; returns how many needed phase 1."""
     phase_one = 0
-    for c, rows, rhs, ties in _sparse_programs(SplitMix64(7), 200):
-        _same_result(c, rows, rhs, ties)
-        phase_one += any(b < 0 for b in rhs)
-    assert phase_one >= 20
+    for c, rows, rhs in programs:
+        _same_result(c, rows, rhs)
+        if any(b < 0 for b in rhs):
+            phase_one += 1
+        else:
+            _same_result(c, rows, rhs, lex_duals=True)
+    return phase_one
+
+
+def test_sparse_pivots_match_dense_pivots_on_random_programs():
+    assert _same_results(_sparse_programs(SplitMix64(7), 200)) >= 20
 
 
 @pytest.mark.parametrize("n_firms,n_workers", [(4, 4), (5, 6)])
@@ -355,9 +372,9 @@ def test_sparse_pivots_match_dense_pivots_on_assignment_games(monkeypatch, n_fir
     # lexicographic price tableau.
     calls = []
 
-    def recording(c, rows, rhs, ties=()):
-        calls.append((c, rows, rhs, ties))
-        return simplex_max(c, rows, rhs, ties)
+    def recording(c, rows, rhs, **kwargs):
+        calls.append((c, rows, rhs, kwargs))
+        return simplex_max(c, rows, rhs, **kwargs)
 
     monkeypatch.setattr(tu_solver, "simplex_max", recording)
     for seed in range(3):
@@ -374,8 +391,8 @@ def test_sparse_pivots_match_dense_pivots_on_assignment_games(monkeypatch, n_fir
         )
         tu_solver.solve_lp(tu_solver.build_lp_problem(m))
     assert len(calls) == 6
-    for c, rows, rhs, ties in calls:
-        _same_result(c, rows, rhs, ties)
+    for c, rows, rhs, kwargs in calls:
+        _same_result(c, rows, rhs, **kwargs)
 
 
 def _rational(rng, lo, hi):
@@ -413,11 +430,7 @@ RATIONAL_PROGRAMS = list(_rational_programs(SplitMix64(11), 240))
 
 
 def test_integer_tableau_matches_fraction_tableau_on_rational_programs():
-    phase_one = 0
-    for c, rows, rhs, ties in RATIONAL_PROGRAMS:
-        _same_result(c, rows, rhs, ties)
-        phase_one += any(b < 0 for b in rhs)
-    assert phase_one >= 20
+    assert _same_results((c, rows, rhs) for c, rows, rhs, _ in RATIONAL_PROGRAMS) >= 20
     assert any(
         isinstance(v, Fraction) and v.denominator in (3, 7)
         for c, rows, rhs, ties in RATIONAL_PROGRAMS
@@ -427,7 +440,7 @@ def test_integer_tableau_matches_fraction_tableau_on_rational_programs():
 
 def test_outputs_are_fractions_for_mixed_inputs():
     # max x + 3/2 y  s.t.  x + 2y <= 4,  3x + y <= 6 (ints and Fractions).
-    res = simplex_max([1, F(3, 2)], [[1, F(2)], [3, 1]], [F(4), 6], ties=([0, -1],))
+    res = simplex_max([1, F(3, 2)], [[1, F(2)], [3, 1]], [F(4), 6], lex_duals=True)
     assert res.value == F(17, 5)
     assert res.x == [F(8, 5), F(6, 5)]
     for v in (res.value, *res.x, *res.duals):
@@ -449,7 +462,7 @@ def test_certify_matches_the_fraction_certifier_on_perturbed_pairs():
     outcomes = {}
     pairs = 0
     for c, rows, rhs, ties in RATIONAL_PROGRAMS:
-        res = simplex_max(c, rows, rhs, ties)
+        res = dense_simplex_max(c, rows, rhs, ties)
         for _ in range(15):
             x, duals = list(res.x), list(res.duals)
             for _ in range(rng.randint(0, 2)):
@@ -468,3 +481,25 @@ def test_certify_matches_the_fraction_certifier_on_perturbed_pairs():
         "dual constraint violated",
         "duality gap at claimed optimum",
     }
+
+
+def test_lex_duals_are_the_tie_stage_least_dual_point():
+    # The lexicographic rule's duals are the point the tie stages reach on
+    # the dual program  min b.y  s.t.  rows^T y >= c,  y >= 0: least b.y,
+    # then least y_1, y_2, ... in turn.
+    checked = 0
+    for c, rows, rhs, _ in RATIONAL_PROGRAMS:
+        if any(b < 0 for b in rhs):
+            continue
+        m = len(rows)
+        dual_rows = [[-row[j] for row in rows] for j in range(len(c))]
+        ties = [[-int(k == i) for k in range(m)] for i in range(m)]
+        ref = dense_simplex_max([-b for b in rhs], dual_rows, [-v for v in c], ties)
+        assert simplex_max(c, rows, rhs, lex_duals=True).duals == ref.x
+        checked += 1
+    assert checked >= 100
+
+
+def test_lex_duals_reject_a_negative_rhs():
+    with pytest.raises(ValueError, match="nonnegative right-hand side"):
+        simplex_max([F(1)], [[F(1)], [F(-1)]], [F(2), F(-1)], lex_duals=True)

@@ -22,6 +22,7 @@ from matchkit import tu_solver
 from matchkit.errors import CertificateError, SizeGuardExceeded, WorkBudgetExceeded
 from matchkit.generator import GenParams, SplitMix64, gen_tu_market
 from matchkit.io import load_market
+from matchkit.model import DEFAULT_BUDGET, _Budget, coalition_value, iter_disjoint_assignments
 from matchkit.simplex import simplex_max
 
 F = Fraction
@@ -104,17 +105,52 @@ def lex_min_oracle(problem):
     return {a: current[i] for a, i in idx.items()}
 
 
-def assignment_game(n_firms, n_workers, seed):
-    """Complete assignment game: every firm values every single worker."""
+def assignment_game(n_firms, n_workers, seed, firm_max=10, worker_max=3):
+    """Complete assignment game: every firm values every single worker at
+    an integer up to ``firm_max``, and every worker every firm at one up to
+    ``worker_max``.  Small maxima make tied and degenerate games."""
     rng = SplitMix64(seed)
     firms = [f"f{i}" for i in range(1, n_firms + 1)]
     workers = [f"w{i}" for i in range(1, n_workers + 1)]
     return TuMarket(
         firms=set(firms),
         workers=set(workers),
-        firm_valuations={f: {fs({w}): F(rng.randint(0, 10)) for w in workers} for f in firms},
-        worker_valuations={w: {f: F(rng.randint(0, 3)) for f in firms} for w in workers},
+        firm_valuations={
+            f: {fs({w}): F(rng.randint(0, firm_max)) for w in workers} for f in firms
+        },
+        worker_valuations={
+            w: {f: F(rng.randint(0, worker_max)) for f in firms} for w in workers
+        },
     )
+
+
+def tied_game(n_firms, n_workers, seed):
+    """A complete assignment game with every value in {0, 1, 2}."""
+    return assignment_game(n_firms, n_workers, seed, firm_max=2, worker_max=2)
+
+
+TIED_SHAPES = ((2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 6), (6, 6))
+
+
+def dfs_partition_oracle(m: TuMarket):
+    """Reference best partition by exhaustive search: every assignment of
+    disjoint firm coalitions, depth first in (firm order, set order),
+    keeping the first of greatest total."""
+    coalitions = [c for c in potential_coalitions(m) if c.firm is not None]
+    values = [coalition_value(m, c) for c in coalitions]
+    options = {f: [] for f in sorted(m.firms)}
+    for c, v in zip(coalitions, values):
+        options[c.firm].append((c.workers, (c.workers, v)))
+    best_total = F(0)
+    best = [(fs(), F(0))] * len(options)
+    search = iter_disjoint_assignments(
+        list(options.values()), _Budget(DEFAULT_BUDGET, "partition search")
+    )
+    for picked in search:
+        total = sum(v for _, v in picked)
+        if total > best_total:
+            best_total, best = total, picked
+    return best_total, {f: s for f, (s, _) in zip(options, best)}
 
 
 class TestPotentialCoalitions:
@@ -183,7 +219,36 @@ class TestMaxPartitionValue:
     def test_agrees_with_product_oracle(self):
         for seed in range(250):
             m = gen_tu_market(GenParams(seed=seed, **SUITE_PARAMS))
-            assert max_partition_value(m) == partition_oracle(m), f"seed {seed}"
+            got = max_partition_value(m)
+            assert got == partition_oracle(m), f"seed {seed}"
+            assert got == dfs_partition_oracle(m), f"seed {seed}"
+
+    def test_agrees_with_dfs_on_guard_limit_markets(self):
+        for seed in range(12):
+            m = gen_tu_market(GenParams(
+                seed=seed, firm_count=8, worker_count=12,
+                max_acceptable_sets_per_firm=8, max_set_size=4,
+            ))
+            assert max_partition_value(m) == dfs_partition_oracle(m), f"seed {seed}"
+
+    def test_agrees_with_dfs_on_tied_complete_games(self):
+        for shape in ((3, 5), (4, 4), (4, 6), (5, 5), (5, 6), (6, 6)):
+            for seed in range(3):
+                m = tied_game(*shape, seed)
+                assert max_partition_value(m) == dfs_partition_oracle(m), (shape, seed)
+
+    def test_complete_game_at_the_guard(self):
+        # 8 firms and 12 workers, the largest complete game inside the guard.
+        # The dynamic program fills 8,584 (firm, used workers) states with
+        # 13 options each, one step per pair.  An
+        # assignment game's cover program has an integral optimum, so the
+        # best partition reaches the LP value.
+        m = assignment_game(8, 12, 0)
+        value, partition = max_partition_value(m, budget=8_584 * 13)
+        assert value == solve_lp(build_lp_problem(m))[1].value == 88
+        assert all(len(s) == 1 for s in partition.values())
+        with pytest.raises(WorkBudgetExceeded, match="partition search"):
+            max_partition_value(m, budget=8_584 * 13 - 1)
 
 
 class TestSolveLp:
@@ -225,16 +290,31 @@ class TestSolveLp:
         assert all(v == 1 for v in coverage.values())
 
     def test_coverage_weights_come_from_their_own_solve(self):
-        # The coverage optimum of this market is not unique.  The Bland solve
-        # from the all-singletons basis picks {f3,w3,w6}; the stage-1 duals of
-        # the lexicographic price tableau pick {f4,w3,w4}.  The reported
-        # weights are output bytes, so the second solve stays.
+        # The coverage optimum of this market is not unique: {f3,w3,w6} and
+        # {f4,w3,w4} both reach it.  The Bland solve from the all-singletons
+        # basis picks the first, and the reported weights are output bytes.
         m = gen_tu_market(GenParams(seed=71, **SUITE_PARAMS))
         _, dual = solve_lp(build_lp_problem(m))
         assert dual.value == F(85, 6)
         assert {c.label(): w for c, w in dual.weights.items()} == {
             "{f1}": 1, "{f2}": 1, "{f3,w3,w6}": 1, "{f4}": 1,
             "{w1}": 1, "{w2}": 1, "{w4}": 1, "{w5}": 1,
+        }
+
+    def test_coverage_weights_stay_on_blands_rule(self):
+        # The coverage optimum of this degenerate 2x3 game is not unique.
+        # Bland's rule picks {f1,w1} and {f2,w2}; the lexicographic rule,
+        # which gives the prices, would pick {f1,w3} and {f2,w2}.  The
+        # reported weights are output bytes, so they keep Bland's rule.
+        problem = build_lp_problem(tied_game(2, 3, 17))
+        firm_cols = problem.firm_coalitions()
+        rows = [[int(a in c.members()) for c, _ in firm_cols] for a in problem.agents]
+        lex = simplex_max([v for _, v in firm_cols], rows, [1] * len(rows), lex_duals=True)
+        assert {c.label() for (c, _), w in zip(firm_cols, lex.x) if w} == {"{f1,w3}", "{f2,w2}"}
+        _, dual = solve_lp(problem)
+        assert dual.value == lex.value
+        assert {c.label(): w for c, w in dual.weights.items()} == {
+            "{f1,w1}": 1, "{f2,w2}": 1, "{w3}": 1,
         }
 
 
@@ -386,6 +466,11 @@ class TestLexMinAgainstOracle:
         for shape in ((3, 5), (4, 4)):
             for seed in range(8):
                 self.check(assignment_game(*shape, seed))
+
+    def test_degenerate_complete_games(self):
+        for shape in TIED_SHAPES:
+            for seed in range(6):
+                self.check(tied_game(*shape, seed))
 
     def test_fixtures(self):
         paths = sorted(FIXTURES.glob("*_tu.json"))
