@@ -101,10 +101,6 @@ def emit_report(args, command: str, inputs: dict[str, str], facts: dict, t0: flo
         print("\n".join(_render_human(report)))
 
 
-def _frac(v: Fraction) -> str:
-    return str(v)
-
-
 def _cycle_facts(h, c) -> dict:
     return {
         "length": len(c),
@@ -143,9 +139,9 @@ def cmd_balance(args) -> int:
 
 def _dual_facts(dual) -> dict:
     return {
-        "value": _frac(dual.value),
+        "value": str(dual.value),
         "weights": [
-            {"coalition": sorted(c.members()), "weight": _frac(w)}
+            {"coalition": sorted(c.members()), "weight": str(w)}
             for c, w in sorted(
                 dual.weights.items(), key=lambda kv: sorted(kv[0].members())
             )
@@ -161,20 +157,20 @@ def cmd_solve_tu(args) -> int:
     report = tu_solver.find_stable_matching_tu(market, budget=args.budget)
     facts = {
         "stable": report.stable,
-        "lp_value": _frac(report.lp_value),
-        "partition_value": _frac(report.partition_value),
+        "lp_value": str(report.lp_value),
+        "partition_value": str(report.partition_value),
     }
     if report.stable and args.emit in ("matching", "lp"):
         facts["matching"] = io.serialize_matching(report.matching)
         facts["utilities"] = {
-            a: _frac(v)
+            a: str(v)
             for a, v in sorted(tu_utilities(market, report.matching).items())
         }
     if not report.stable or args.emit in ("certificate", "lp"):
         facts["certificate"] = _dual_facts(report.certificate)
     if args.emit == "lp":
         facts["lp_primal"] = {
-            a: _frac(v) for a, v in sorted(report.lp_primal.items())
+            a: str(v) for a, v in sorted(report.lp_primal.items())
         }
     emit_report(args, "solve-tu", {args.market: _digest(args.market)}, facts, t0)
     return EXIT_OK if report.stable else EXIT_NEGATIVE

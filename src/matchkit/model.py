@@ -154,10 +154,7 @@ class DiscreteMarket:
             return len(prefs) + 1
 
     def firm_strictly_prefers(self, f: str, s1: WorkerSet, s2: WorkerSet) -> bool:
-        r1, r2 = self.set_rank(f, s1), self.set_rank(f, s2)
-        if r1 == r2:
-            return False
-        return r1 < r2
+        return self.set_rank(f, s1) < self.set_rank(f, s2)
 
     def firm_rank(self, w: str, f: str | None) -> int:
         """Rank of a firm for worker w: list index, len for the null firm,

@@ -1,15 +1,17 @@
 """Exact simplex over rationals.
 
 Solves  max c.x  subject to  A x <= b,  x >= 0  with Bland's smallest-index
-anti-cycling rule and a phase-1 round (artificial variables) whenever some
-right-hand side is negative.  With ``lex_duals`` the leaving row is chosen
-by the lexicographic rule of Dantzig, Orden & Wolfe (1955) instead: ratio
-ties are broken on the rows of B^-1 (the slack columns), as if the i-th
-right-hand side were raised by eps^i.  The final basis is then optimal for
-that perturbed program, so its duals are the lexicographically least
-optimal dual point: least b.y, then least y_1, then y_2 and so on.  Every
-solve is certified before returning: primal feasibility, dual feasibility,
-and exact equality of the two objective values.
+anti-cycling rule, starting from the slack basis.  That basis is feasible
+only when b >= 0, so there is no phase 1 and a negative right-hand side
+raises ValueError; matchkit's programs are coverage programs, with b all
+ones.  With ``lex_duals`` the leaving row is chosen by the lexicographic
+rule of Dantzig, Orden & Wolfe (1955) instead: ratio ties are broken on the
+rows of B^-1 (the slack columns), as if the i-th right-hand side were
+raised by eps^i.  The final basis is then optimal for that perturbed
+program, so its duals are the lexicographically least optimal dual point:
+least b.y, then least y_1, then y_2 and so on.  Every solve is certified
+before returning: primal feasibility, dual feasibility, and exact equality
+of the two objective values.
 
 Inputs may be ``int`` or ``Fraction``; outputs are ``Fraction``.  Inside,
 each tableau row (and each reduced-cost row) is a list of ``int``
@@ -31,9 +33,9 @@ from .errors import CertificateError
 
 
 class LpInternalError(CertificateError):
-    """Unbounded/infeasible programs cannot arise from well-formed markets;
-    hitting one, or failing a certificate, means the caller built a bad
-    program or the arithmetic went wrong."""
+    """Unbounded programs cannot arise from well-formed markets; hitting
+    one, or failing a certificate, means the caller built a bad program or
+    the arithmetic went wrong."""
 
 
 @dataclass
@@ -69,37 +71,26 @@ def simplex_max(
     rhs: list[Fraction],
     lex_duals: bool = False,
 ) -> LpResult:
-    """Maximize c.x s.t. rows[i].x <= rhs[i] for all i, x >= 0.  With
-    ``lex_duals`` the leaving rule is lexicographic, so ``duals`` is the
-    lexicographically least optimal dual point; that rule starts from the
-    slack basis and needs every right-hand side nonnegative."""
+    """Maximize c.x s.t. rows[i].x <= rhs[i] for all i, x >= 0, starting
+    from the slack basis, which is feasible only when every right-hand side
+    is nonnegative (a ValueError otherwise).  With ``lex_duals`` the leaving
+    rule is lexicographic, so ``duals`` is the lexicographically least
+    optimal dual point."""
     m, n = len(rows), len(c)
-    if lex_duals and any(b < 0 for b in rhs):
-        raise ValueError("lex_duals needs a nonnegative right-hand side")
+    if any(b < 0 for b in rhs):
+        raise ValueError("simplex_max needs a nonnegative right-hand side")
 
-    # Tableau columns: n decision vars, m slacks, then (phase 1 only) one
-    # artificial per negated row, then the right-hand side.  Row i holds
-    # the equation for basis[i]: numerators tab[i] over den[i].
-    neg = [i for i in range(m) if rhs[i] < 0]
-    n_art = len(neg)
-    width = n + m + n_art
-    art_col = {i: n + m + k for k, i in enumerate(neg)}
+    # Tableau columns: n decision vars, m slacks, then the right-hand side.
+    # Row i holds the equation for basis[i]: numerators tab[i] over den[i].
     tab: list[list[int]] = []
     den: list[int] = []
-    basis: list[int] = []
     for i in range(m):
         nums, d = _scaled([*rows[i], rhs[i]])
-        row = nums[:n] + [0] * (m + n_art)
+        row = nums[:n] + [0] * m + nums[n:]
         row[n + i] = d
-        row.append(nums[n])
-        if i in art_col:
-            row = [-v for v in row]
-            row[art_col[i]] = d
-            basis.append(art_col[i])
-        else:
-            basis.append(n + i)
         tab.append(row)
         den.append(d)
+    basis = list(range(n, n + m))
 
     def pivot(r: int, col: int) -> None:
         # The pivot row's new denominator is its pivot entry.  A row with a
@@ -131,72 +122,37 @@ def simplex_max(
                 return u < v
         return False
 
-    def run(red: list[int], rd: int) -> tuple[list[int], int]:
-        # Bland: entering = lowest-index column with positive reduced cost
-        # (artificials never re-enter); leaving = min ratio, ties by lowest
-        # basic-variable index or, with lex_duals, lexicographically.  Row
-        # denominators cancel in a ratio, and ratios are compared by
-        # cross-multiplying with positive denominators.
-        while True:
-            enter = -1
-            for j in range(n + m):
-                if red[j] > 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return red, rd
-            leave = -1
-            best_num = best_den = 0
-            for i in range(m):
-                a = tab[i][enter]
-                if a > 0:
-                    num = tab[i][-1]
-                    if leave < 0 or num * best_den < best_num * a or (
-                        num * best_den == best_num * a
-                        and (
-                            lex_first(i, a, leave, best_den)
-                            if lex_duals
-                            else basis[i] < basis[leave]
-                        )
-                    ):
-                        best_num, best_den = num, a
-                        leave = i
-            if leave < 0:
-                raise LpInternalError("linear program is unbounded")
-            pivot(leave, enter)
-            red, rd = _eliminate(red, rd, red[enter], tab[leave], den[leave])
-
-    if n_art:
-        # Phase 1: drive the artificials (basic, cost -1) to zero.
-        rd = lcm(*(den[i] for i in neg))
-        red = [
-            sum(tab[i][j] * (rd // den[i]) for i in neg) if j < n + m else 0
-            for j in range(width)
-        ]
-        red, rd = run(red, rd)
-        # Basic values are nonnegative: they sum to zero only if each is zero.
-        if any(tab[i][-1] for i in range(m) if basis[i] >= n + m):
-            raise LpInternalError("linear program is infeasible")
-        for i in range(m):
-            if basis[i] >= n + m:
-                # Basic artificial at zero: swap in any structural column
-                # (its own slack always has a nonzero coefficient).
-                for j in range(n + m):
-                    if tab[i][j] != 0:
-                        pivot(i, j)
-                        break
-                else:
-                    raise LpInternalError("degenerate artificial row")
-
-    # Phase 2 on the real objective, from the reduced costs of c (zero on
-    # slacks) in the current basis.
+    # In the slack basis the reduced costs are c itself (zero on slacks).
+    # Bland: entering = lowest-index column with positive reduced cost;
+    # leaving = min ratio, ties by lowest basic-variable index or, with
+    # lex_duals, lexicographically.  Row denominators cancel in a ratio, and
+    # ratios are compared by cross-multiplying with positive denominators.
     red, rd = _scaled(c)
-    red += [0] * (m + n_art)
-    for i in range(m):
-        f = red[basis[i]]
-        if f:
-            red, rd = _eliminate(red, rd, f, tab[i], den[i])
-    red, rd = run(red, rd)
+    red += [0] * m
+    while True:
+        enter = next((j for j, r in enumerate(red) if r > 0), -1)
+        if enter < 0:
+            break
+        leave = -1
+        best_num = best_den = 0
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                num = tab[i][-1]
+                if leave < 0 or num * best_den < best_num * a or (
+                    num * best_den == best_num * a
+                    and (
+                        lex_first(i, a, leave, best_den)
+                        if lex_duals
+                        else basis[i] < basis[leave]
+                    )
+                ):
+                    best_num, best_den = num, a
+                    leave = i
+        if leave < 0:
+            raise LpInternalError("linear program is unbounded")
+        pivot(leave, enter)
+        red, rd = _eliminate(red, rd, red[enter], tab[leave], den[leave])
     duals = [Fraction(-red[n + i], rd) for i in range(m)]
 
     x = [Fraction(0)] * n

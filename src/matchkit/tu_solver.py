@@ -9,7 +9,10 @@ The coverage program is solved twice from the all-singletons basis: once
 under Bland's rule for the reported coalition weights, and once under the
 lexicographic leaving rule, whose duals are the lexicographically least
 optimal primal point, hence the reported prices.  The best partition comes
-from a dynamic program over (firm, used-worker bitmask).
+from a dynamic program over (firm, used-worker bitmask) on the same
+coalitions and values: ``build_lp_problem`` builds them once per solve, and
+only ``check_stable_tu``, the independent re-check of a constructed
+matching, builds them again.
 """
 
 from __future__ import annotations
@@ -117,24 +120,28 @@ def build_lp_problem(m: TuMarket) -> TuLpProblem:
 
 
 def max_partition_value(
-    m: TuMarket, budget: int = DEFAULT_BUDGET
+    problem: TuLpProblem, budget: int = DEFAULT_BUDGET
 ) -> tuple[Fraction, dict[str, WorkerSet]]:
     """Best aggregate value over all assignments of disjoint firm coalitions
-    (or none) to firms, by dynamic programming over (firm, used workers);
-    returns the lexicographically-first maximizer in (firm order, set
-    order).  Each (state, option) pair evaluated spends one budget step."""
-    check_guard(m)
-    coalitions = [c for c in potential_coalitions(m) if c.firm is not None]
-    values = [coalition_value(m, c) for c in coalitions]
+    (or none) to firms, read from the coalitions and values of ``problem``,
+    by dynamic programming over (firm, used workers); returns the
+    lexicographically-first maximizer in (firm order, set order).  Each
+    (state, option) pair evaluated spends one budget step."""
     # Totals are summed as integers over a common denominator: exact, and
     # much cheaper than adding Fractions.
-    scale = math.lcm(*(v.denominator for v in values))
-    bit = {w: 1 << k for k, w in enumerate(sorted(m.workers))}
-    # A firm's singleton, listed before its other coalitions, is the empty set.
-    options: dict[str, list] = {f: [] for f in sorted(m.firms)}
-    for c, v in zip(coalitions, values):
-        mask = sum(bit[w] for w in c.workers)
-        options[c.firm].append((c.workers, mask, v.numerator * (scale // v.denominator)))
+    scale = math.lcm(*(v.denominator for v in problem.values))
+    # Which bit stands for which worker changes neither the totals nor the
+    # number of states, so bits go out in the order workers are first seen.
+    bit: dict[str, int] = {}
+    # Firms come in the order of their singletons, which list first and
+    # stand for the empty set.
+    options: dict[str, list] = {}
+    for c, v in zip(problem.coalitions, problem.values):
+        if c.firm is not None:
+            mask = sum(bit.setdefault(w, 1 << len(bit)) for w in c.workers)
+            options.setdefault(c.firm, []).append(
+                (c.workers, mask, v.numerator * (scale // v.denominator))
+            )
     slots = list(options.values())
     memo: list[dict[int, int]] = [{} for _ in slots]
     steps = _Budget(budget, "partition search")
@@ -280,7 +287,7 @@ def find_stable_matching_tu(
     fractional cover as certificate.  The partition search spends at most
     ``budget`` steps."""
     problem = build_lp_problem(m)
-    vbar, partition = max_partition_value(m, budget)
+    vbar, partition = max_partition_value(problem, budget)
     x, dual = solve_lp(problem)
     vtilde = dual.value
     if vtilde < vbar:

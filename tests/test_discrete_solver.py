@@ -15,13 +15,15 @@ from matchkit import (
     run_blocking_dynamics,
 )
 from matchkit.errors import SizeGuardExceeded
-from matchkit.generator import GenParams, SplitMix64, gen_discrete_market
+from matchkit.generator import GenParams, gen_discrete_market
 from matchkit.io import load_market
 from matchkit.model import (
     _Budget,
     iter_disjoint_assignments,
     satisfactory_sets,
 )
+
+from golden import complete_marriage_market
 
 fs = frozenset
 
@@ -63,27 +65,6 @@ def exhaustive_stable_oracle(m: DiscreteMarket, limit=None):
     if limit is None:
         found.sort(key=lambda mu: mu.key())
     return found
-
-
-def complete_marriage_market(n_firms, n_workers, seed):
-    """Every firm ranks every single worker and every worker every firm,
-    in seeded random order."""
-    rng = SplitMix64(seed)
-    firms = [f"f{i}" for i in range(1, n_firms + 1)]
-    workers = [f"w{i}" for i in range(1, n_workers + 1)]
-    firm_prefs = {}
-    for f in firms:
-        sets = [fs({w}) for w in workers]
-        rng.shuffle(sets)
-        firm_prefs[f] = tuple(sets)
-    worker_prefs = {}
-    for w in workers:
-        ranked = list(firms)
-        rng.shuffle(ranked)
-        worker_prefs[w] = tuple(ranked)
-    return DiscreteMarket(
-        firms=set(firms), workers=set(workers), firm_prefs=firm_prefs, worker_prefs=worker_prefs
-    )
 
 
 DISCRETE_FIXTURES = (

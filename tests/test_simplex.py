@@ -15,12 +15,13 @@ ONE = F(1)
 
 def dense_simplex_max(c, rows, rhs, ties=(), lex_duals=False):
     """Reference: simplex_max with dense pivots, updating every column of
-    every row and every allowed reduced cost, zero or not; then maximize
-    each objective in ``ties`` in turn over the points optimal for all
-    objectives before it (the lexicographic simplex run as tie stages).
-    ``value`` and ``duals`` belong to ``c``.  With ``lex_duals``, a ratio
-    tie goes to the row whose slack entries over its pivot entry come
-    first lexicographically."""
+    every row and every allowed reduced cost, zero or not, and with a
+    phase-1 round (artificial variables) for a negative right-hand side,
+    which simplex_max refuses.  Then maximize each objective in ``ties`` in
+    turn over the points optimal for all objectives before it (the
+    lexicographic simplex run as tie stages).  ``value`` and ``duals``
+    belong to ``c``.  With ``lex_duals``, a ratio tie goes to the row whose
+    slack entries over its pivot entry come first lexicographically."""
     m, n = len(rows), len(c)
     c = [Fraction(v) for v in c]
     b = [Fraction(v) for v in rhs]
@@ -168,15 +169,24 @@ def test_textbook_max():
 
 
 def test_negative_rhs_triggers_phase_one():
-    # max -x  s.t.  -x <= -2,  x <= 5   (i.e. minimize x over [2, 5])
-    res = simplex_max([F(-1)], [[F(-1)], [F(1)]], [F(-2), F(5)])
+    # max -x  s.t.  -x <= -2,  x <= 5   (i.e. minimize x over [2, 5]): the
+    # slack basis is infeasible, so the dense reference needs phase 1 and
+    # simplex_max, which has none, refuses the program.
+    rows, rhs = [[F(-1)], [F(1)]], [F(-2), F(5)]
+    res = dense_simplex_max([F(-1)], rows, rhs)
     assert res.value == F(-2)
     assert res.x == [F(2)]
+    for lex_duals in (False, True):
+        with pytest.raises(ValueError, match="nonnegative right-hand side"):
+            simplex_max([F(-1)], rows, rhs, lex_duals=lex_duals)
 
 
 def test_infeasible_detected():
-    # x <= -1 with x >= 0 is empty.
-    with pytest.raises(LpInternalError):
+    # x <= -1 with x >= 0 is empty: the reference's phase 1 finds that, and
+    # simplex_max refuses the negative right-hand side before pivoting.
+    with pytest.raises(LpInternalError, match="infeasible"):
+        dense_simplex_max([F(1)], [[F(1)]], [F(-1)])
+    with pytest.raises(ValueError, match="nonnegative right-hand side"):
         simplex_max([F(1)], [[F(1)]], [F(-1)])
 
 
@@ -324,8 +334,9 @@ def test_certify_rejects_a_suboptimal_pair():
 
 def _sparse_programs(rng, count):
     """Feasible, bounded programs with mostly-zero rows: a random point x0
-    fixes the right-hand sides (often tight, often negative, so phase 1 and
-    degenerate ratio ties occur), and every variable is capped."""
+    fixes the right-hand sides (often tight, so degenerate ratio ties occur,
+    and often negative, which simplex_max refuses), and every variable is
+    capped."""
     for _ in range(count):
         n = rng.randint(1, 6)
         m = rng.randint(1, 6)
@@ -350,20 +361,25 @@ def _same_result(c, rows, rhs, **kwargs):
 
 
 def _same_results(programs):
-    """Sparse against dense on each program, and under the lexicographic
-    rule too wherever it applies; returns how many needed phase 1."""
-    phase_one = 0
+    """Sparse against dense under both leaving rules on each program with a
+    nonnegative right-hand side; every other program must be refused under
+    both rules.  Returns (refused, compared) counts."""
+    refused = compared = 0
     for c, rows, rhs in programs:
-        _same_result(c, rows, rhs)
         if any(b < 0 for b in rhs):
-            phase_one += 1
+            for lex_duals in (False, True):
+                with pytest.raises(ValueError, match="nonnegative right-hand side"):
+                    simplex_max(c, rows, rhs, lex_duals=lex_duals)
+            refused += 1
         else:
+            _same_result(c, rows, rhs)
             _same_result(c, rows, rhs, lex_duals=True)
-    return phase_one
+            compared += 1
+    return refused, compared
 
 
 def test_sparse_pivots_match_dense_pivots_on_random_programs():
-    assert _same_results(_sparse_programs(SplitMix64(7), 200)) >= 20
+    assert _same_results(_sparse_programs(SplitMix64(7), 200)) == (88, 112)
 
 
 @pytest.mark.parametrize("n_firms,n_workers", [(4, 4), (5, 6)])
@@ -430,7 +446,7 @@ RATIONAL_PROGRAMS = list(_rational_programs(SplitMix64(11), 240))
 
 
 def test_integer_tableau_matches_fraction_tableau_on_rational_programs():
-    assert _same_results((c, rows, rhs) for c, rows, rhs, _ in RATIONAL_PROGRAMS) >= 20
+    assert _same_results((c, rows, rhs) for c, rows, rhs, _ in RATIONAL_PROGRAMS) == (130, 110)
     assert any(
         isinstance(v, Fraction) and v.denominator in (3, 7)
         for c, rows, rhs, ties in RATIONAL_PROGRAMS

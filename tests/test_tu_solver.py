@@ -20,10 +20,12 @@ from matchkit import (
 )
 from matchkit import tu_solver
 from matchkit.errors import CertificateError, SizeGuardExceeded, WorkBudgetExceeded
-from matchkit.generator import GenParams, SplitMix64, gen_tu_market
+from matchkit.generator import GenParams, gen_tu_market
 from matchkit.io import load_market
 from matchkit.model import DEFAULT_BUDGET, _Budget, coalition_value, iter_disjoint_assignments
 from matchkit.simplex import simplex_max
+
+from golden import assignment_game, tied_game
 
 F = Fraction
 fs = frozenset
@@ -72,61 +74,34 @@ def lex_min_oracle(problem):
     per-coordinate method: solve the coverage program, then for each agent
     in order minimize its coordinate over the optimal points with the
     earlier coordinates held at their minima, one rebuilt program per agent
-    (a coordinate already at zero needs no solve: zero is its floor)."""
+    (a coordinate already at zero needs no solve: zero is its floor).
+
+    Agent i's program, min x_i s.t. x covers every coalition value,
+    sum x <= V and x_j <= fixed_j for j < i, is solved as its dual
+
+        max v.w - V t - sum_{j<i} fixed_j s_j
+        s.t. sum_{c owning a} w_c - t - [a = j < i] s_j <= [a = i]  for each agent a,
+
+    all variables >= 0, whose right-hand side e_i is nonnegative; x is read
+    from that program's duals."""
     n = len(problem.agents)
     idx = {a: i for i, a in enumerate(problem.agents)}
     firm_cols = problem.firm_coalitions()
     cover = [[F(int(a in c.members())) for c, _ in firm_cols] for a in problem.agents]
-    lp = simplex_max([v for _, v in firm_cols], cover, [F(1)] * n)
-    base_rows, base_rhs = [], []
-    for c, v in firm_cols:
-        row = [F(0)] * n
-        for a in c.members():
-            row[idx[a]] = F(-1)
-        base_rows.append(row)
-        base_rhs.append(-v)
-    base_rows.append([F(1)] * n)
-    base_rhs.append(lp.value)
+    values = [v for _, v in firm_cols]
+    lp = simplex_max(values, cover, [F(1)] * n)
 
     current = list(lp.duals)
-    fixed = [None] * n
+    fixed = []
     for i in range(n):
-        if current[i] == 0:
-            fixed[i] = F(0)
-            continue
-        rows, rhs = [list(r) for r in base_rows], list(base_rhs)
-        for j in range(i):
-            unit = [F(int(k == j)) for k in range(n)]
-            rows += [unit, [-v for v in unit]]
-            rhs += [fixed[j], -fixed[j]]
-        objective = [F(-int(k == i)) for k in range(n)]
-        current = simplex_max(objective, rows, rhs).x
-        fixed[i] = current[i]
+        if current[i] != 0:
+            rows = [
+                cover[a] + [F(-1)] + [F(-int(a == j)) for j in range(i)] for a in range(n)
+            ]
+            objective = values + [-lp.value] + [-f for f in fixed]
+            current = simplex_max(objective, rows, [F(int(a == i)) for a in range(n)]).duals
+        fixed.append(current[i])
     return {a: current[i] for a, i in idx.items()}
-
-
-def assignment_game(n_firms, n_workers, seed, firm_max=10, worker_max=3):
-    """Complete assignment game: every firm values every single worker at
-    an integer up to ``firm_max``, and every worker every firm at one up to
-    ``worker_max``.  Small maxima make tied and degenerate games."""
-    rng = SplitMix64(seed)
-    firms = [f"f{i}" for i in range(1, n_firms + 1)]
-    workers = [f"w{i}" for i in range(1, n_workers + 1)]
-    return TuMarket(
-        firms=set(firms),
-        workers=set(workers),
-        firm_valuations={
-            f: {fs({w}): F(rng.randint(0, firm_max)) for w in workers} for f in firms
-        },
-        worker_valuations={
-            w: {f: F(rng.randint(0, worker_max)) for f in firms} for w in workers
-        },
-    )
-
-
-def tied_game(n_firms, n_workers, seed):
-    """A complete assignment game with every value in {0, 1, 2}."""
-    return assignment_game(n_firms, n_workers, seed, firm_max=2, worker_max=2)
 
 
 TIED_SHAPES = ((2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 6), (6, 6))
@@ -184,12 +159,12 @@ class TestPotentialCoalitions:
 
 class TestMaxPartitionValue:
     def test_intro(self, intro_tu):
-        value, mu = max_partition_value(intro_tu)
+        value, mu = max_partition_value(build_lp_problem(intro_tu))
         assert value == 6
         assert mu == {"f1": fs({"w1", "w2"}), "f2": fs()}
 
     def test_example1_lex_first_maximizer(self, example1_tu):
-        value, mu = max_partition_value(example1_tu)
+        value, mu = max_partition_value(build_lp_problem(example1_tu))
         assert value == 4
         assert mu == {"f1": fs(), "f2": fs({"w1"}), "f3": fs({"w2", "w3"})}
 
@@ -200,26 +175,28 @@ class TestMaxPartitionValue:
             firm_valuations={"f": {fs({"w"}): -1}},
             worker_valuations={"w": {"f": 0}},
         )
-        value, mu = max_partition_value(m)
+        value, mu = max_partition_value(build_lp_problem(m))
         assert value == 0
         assert mu == {"f": fs()}
 
     def test_guard(self):
+        # The partition reads the problem build_lp_problem made, which is
+        # where the size guard is checked.
         firms = {f"f{i}" for i in range(9)}
         m = TuMarket(firms=firms, workers=set(), firm_valuations={}, worker_valuations={})
         with pytest.raises(SizeGuardExceeded, match="9 firms > guard 8"):
-            max_partition_value(m)
+            build_lp_problem(m)
 
     def test_budget(self, example1_tu):
         with pytest.raises(WorkBudgetExceeded, match="partition search"):
-            max_partition_value(example1_tu, budget=2)
+            max_partition_value(build_lp_problem(example1_tu), budget=2)
         with pytest.raises(WorkBudgetExceeded):
             find_stable_matching_tu(example1_tu, budget=2)
 
     def test_agrees_with_product_oracle(self):
         for seed in range(250):
             m = gen_tu_market(GenParams(seed=seed, **SUITE_PARAMS))
-            got = max_partition_value(m)
+            got = max_partition_value(build_lp_problem(m))
             assert got == partition_oracle(m), f"seed {seed}"
             assert got == dfs_partition_oracle(m), f"seed {seed}"
 
@@ -229,13 +206,15 @@ class TestMaxPartitionValue:
                 seed=seed, firm_count=8, worker_count=12,
                 max_acceptable_sets_per_firm=8, max_set_size=4,
             ))
-            assert max_partition_value(m) == dfs_partition_oracle(m), f"seed {seed}"
+            got = max_partition_value(build_lp_problem(m))
+            assert got == dfs_partition_oracle(m), f"seed {seed}"
 
     def test_agrees_with_dfs_on_tied_complete_games(self):
         for shape in ((3, 5), (4, 4), (4, 6), (5, 5), (5, 6), (6, 6)):
             for seed in range(3):
                 m = tied_game(*shape, seed)
-                assert max_partition_value(m) == dfs_partition_oracle(m), (shape, seed)
+                got = max_partition_value(build_lp_problem(m))
+                assert got == dfs_partition_oracle(m), (shape, seed)
 
     def test_complete_game_at_the_guard(self):
         # 8 firms and 12 workers, the largest complete game inside the guard.
@@ -243,12 +222,12 @@ class TestMaxPartitionValue:
         # 13 options each, one step per pair.  An
         # assignment game's cover program has an integral optimum, so the
         # best partition reaches the LP value.
-        m = assignment_game(8, 12, 0)
-        value, partition = max_partition_value(m, budget=8_584 * 13)
-        assert value == solve_lp(build_lp_problem(m))[1].value == 88
+        problem = build_lp_problem(assignment_game(8, 12, 0))
+        value, partition = max_partition_value(problem, budget=8_584 * 13)
+        assert value == solve_lp(problem)[1].value == 88
         assert all(len(s) == 1 for s in partition.values())
         with pytest.raises(WorkBudgetExceeded, match="partition search"):
-            max_partition_value(m, budget=8_584 * 13 - 1)
+            max_partition_value(problem, budget=8_584 * 13 - 1)
 
 
 class TestSolveLp:
@@ -339,6 +318,23 @@ class TestFindStable:
         assert rep.lp_value == 5 and rep.partition_value == 5
         assert rep.matching.assignment == {"w1": "f1", "w2": "f1", "w4": "f1"}
         assert rep.matching.prices == {"w1": 0, "w2": 0, "w4": 5}
+
+    def test_coalitions_are_built_once_for_the_lp_and_the_partition(
+        self, monkeypatch, example1_tu, intro_tu
+    ):
+        # build_lp_problem builds the family for both the LP and the
+        # partition; only check_stable_tu, the independent re-check of a
+        # constructed matching, builds it again.
+        calls = []
+        honest = tu_solver.potential_coalitions
+        monkeypatch.setattr(
+            tu_solver, "potential_coalitions", lambda m: calls.append(m) or honest(m)
+        )
+        assert find_stable_matching_tu(example1_tu).stable
+        assert len(calls) == 2
+        calls.clear()
+        assert not find_stable_matching_tu(intro_tu).stable
+        assert len(calls) == 1
 
 
 class TestCheckStable:
