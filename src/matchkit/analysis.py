@@ -11,8 +11,8 @@ submatrix of demand vectors with |det| = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import CertificateError, SizeGuardExceeded
 from .hypergraph import (
@@ -36,8 +36,7 @@ from .model import (
 MAX_TU_DIM = 24
 
 
-@dataclass(frozen=True)
-class DemandType:
+class DemandType(NamedTuple):
     """Per-firm and pooled difference vectors, indexed by sorted workers."""
 
     workers: tuple[str, ...]
@@ -56,16 +55,14 @@ class DemandType:
         )
 
 
-@dataclass(frozen=True)
-class TuVerdict:
+class TuVerdict(NamedTuple):
     totally_unimodular: bool
     row_indices: tuple[int, ...] | None = None
     col_indices: tuple[int, ...] | None = None
     determinant: int | None = None
 
 
-@dataclass(frozen=True)
-class Prop1Verdict:
+class Prop1Verdict(NamedTuple):
     """guaranteed: no nontrivial odd cycle passes the pairwise-choice
     condition, so a stable matching exists for any worker preferences."""
 
@@ -73,8 +70,7 @@ class Prop1Verdict:
     witness: HyperCycle | None = None
 
 
-@dataclass(frozen=True)
-class Prop2Report:
+class Prop2Report(NamedTuple):
     tu_verdict: TuVerdict
     prop1: Prop1Verdict
     consistent: bool

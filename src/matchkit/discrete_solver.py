@@ -16,7 +16,7 @@ that survives is still verified by check_stable_discrete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     DEFAULT_BUDGET,
@@ -32,8 +32,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class BlockingCoalition:
+class BlockingCoalition(NamedTuple):
     """A firm and the worker set it would rather employ; workers all weakly
     prefer the firm to their current match.  An empty set means the firm
     wants to fire its way back to a satisfactory position."""
@@ -42,29 +41,25 @@ class BlockingCoalition:
     workers: WorkerSet
 
 
-@dataclass(frozen=True)
-class IrViolation:
+class IrViolation(NamedTuple):
     agent: str
     note: str
 
 
-@dataclass(frozen=True)
-class DiscreteStabilityVerdict:
+class DiscreteStabilityVerdict(NamedTuple):
     stable: bool
     ir_violations: tuple[IrViolation, ...] = ()
     blocking: BlockingCoalition | None = None
 
 
-@dataclass(frozen=True)
-class DynamicsMove:
+class DynamicsMove(NamedTuple):
     kind: str  # "quit" or "block"
     worker: str | None = None
     firm: str | None = None
     workers: WorkerSet | None = None
 
 
-@dataclass(frozen=True)
-class DynamicsTrace:
+class DynamicsTrace(NamedTuple):
     states: tuple[DiscreteMatching, ...]
     moves: tuple[DynamicsMove, ...]
     outcome: str  # "stable" | "cycle" | "budget"

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .model import DEFAULT_GUARD, DiscreteMarket, TuMarket, WorkerSet
 from .roadmap import Roadmap, TechnologyPath, technology_paths
@@ -79,8 +78,7 @@ class SplitMix64:
         return Fraction(n, d)
 
 
-@dataclass(frozen=True)
-class GenParams:
+class _GenParamsFields(NamedTuple):
     seed: int
     firm_count: int = 3
     worker_count: int = 4
@@ -89,9 +87,14 @@ class GenParams:
     value_range: tuple[Fraction, Fraction] = (Fraction(0), Fraction(10))
     acceptability_density: float = 0.9
 
-    def __post_init__(self):
+
+class GenParams(_GenParamsFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         lo, hi = self.value_range
-        object.__setattr__(self, "value_range", (Fraction(lo), Fraction(hi)))
+        return self._replace(value_range=(Fraction(lo), Fraction(hi)))
 
 
 def validate_params(p: GenParams) -> None:

@@ -15,7 +15,7 @@ at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     DEFAULT_BUDGET,
@@ -27,8 +27,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True, eq=True)
-class FirmWorkerHypergraph:
+class FirmWorkerHypergraph(NamedTuple):
     """Vertices are all firms and workers (isolated ones kept); each edge is
     a (firm, worker set) pair standing for {f} u S."""
 
@@ -44,8 +43,7 @@ class FirmWorkerHypergraph:
         return "{" + ",".join([f] + sorted(s)) + "}"
 
 
-@dataclass(frozen=True, eq=True)
-class HyperCycle:
+class HyperCycle(NamedTuple):
     """Alternating sequence j^1,E^1,...,j^k,E^k with j^i,j^{i+1} in E^i.
 
     ``edges`` holds indices into the host hypergraph's edge list; entry i is
@@ -56,11 +54,12 @@ class HyperCycle:
     edges: tuple[int, ...]
 
     def __len__(self) -> int:
+        # The cycle's length, not its field count, so ``_make`` and
+        # ``_replace`` (which check the field count by len) do not apply.
         return len(self.edges)
 
 
-@dataclass(frozen=True, eq=True)
-class IntMatrix:
+class IntMatrix(NamedTuple):
     rows: tuple[str, ...]
     cols: tuple[str, ...]
     entries: tuple[tuple[int, ...], ...]
@@ -73,8 +72,7 @@ class IntMatrix:
         return tuple(row[j] for row in self.entries)
 
 
-@dataclass(frozen=True)
-class BalanceVerdict:
+class BalanceVerdict(NamedTuple):
     balanced: bool
     witness: HyperCycle | None = None
 
@@ -171,7 +169,7 @@ def _iter_cycles(
         for v in ms:
             by_vertex[v].append(i)
 
-    seen: set[tuple[tuple[str, ...], tuple[int, ...]]] = set()
+    seen: set[HyperCycle] = set()
 
     def extend(start, path_v, path_e, used_v, used_e):
         cur = path_v[-1]
@@ -189,9 +187,8 @@ def _iter_cycles(
                     cand = HyperCycle(tuple(path_v), tuple(path_e) + (e,))
                     if not nontrivial_only or is_nontrivial_odd(h, cand):
                         canon = canonical_cycle(cand)
-                        key = (canon.vertices, canon.edges)
-                        if key not in seen:
-                            seen.add(key)
+                        if canon not in seen:
+                            seen.add(canon)
                             yield canon
             if len(path_v) >= max_len:
                 continue
@@ -248,7 +245,7 @@ def enumerate_cycles(
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
     found = list(iter_cycles(h, odd_only, nontrivial_only, max_len, budget))
-    return sorted(found, key=lambda c: (c.vertices, c.edges))
+    return sorted(found)
 
 
 def check_balanced(

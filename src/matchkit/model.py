@@ -5,18 +5,22 @@ strings, firm and worker namespaces are disjoint within one market, and the
 null firm / empty set are never stored (absence encodes them).  All values
 are exact rationals; nothing here touches floating point.
 
-A market is checked once, when it is built: the constructors end with
-``require_valid``, so every ``TuMarket`` or ``DiscreteMarket`` in existence
-is valid (its dicts are not meant to be mutated afterwards) and no solver
-checks it again.  The exhaustive solvers refuse markets past one fixed
-size guard, ``DEFAULT_GUARD``.
+Records are immutable named tuples: equality and hashing go by the fields,
+and being tuples they also iterate, index and compare equal to a plain
+tuple of the same fields.  A record that normalizes its fields (lists to
+frozensets, ints and strings to ``Fraction``) is a ``NamedTuple`` plus a
+subclass whose ``__new__`` does it.  A market's ``__new__`` ends with
+``require_valid``, so a market is checked once, when it is built: every
+``TuMarket`` or ``DiscreteMarket`` in existence is valid (its dicts are not
+meant to be mutated afterwards) and no solver checks it again.  The
+exhaustive solvers refuse markets past one fixed size guard,
+``DEFAULT_GUARD``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidMarketError, SizeGuardExceeded, WorkBudgetExceeded
 
@@ -38,8 +42,7 @@ def _fraction(v) -> Fraction:
     return v if type(v) is Fraction else Fraction(v)
 
 
-@dataclass(frozen=True)
-class SizeGuard:
+class SizeGuard(NamedTuple):
     """Limits under which the exhaustive solvers are allowed to run; the
     solvers all use the one instance ``DEFAULT_GUARD``."""
 
@@ -51,8 +54,14 @@ class SizeGuard:
 DEFAULT_GUARD = SizeGuard()
 
 
-@dataclass(frozen=True, eq=True)
-class TuMarket:
+class _TuMarketFields(NamedTuple):
+    firms: frozenset[str]
+    workers: frozenset[str]
+    firm_valuations: dict[str, dict[WorkerSet, Fraction]]
+    worker_valuations: dict[str, dict[str, Fraction]]
+
+
+class TuMarket(_TuMarketFields):
     """Transferable-utility market: firm valuations over acceptable worker
     sets, worker valuations over acceptable firms.
 
@@ -61,25 +70,20 @@ class TuMarket:
     of staying unmatched is 0 on both sides and is never stored.
     """
 
-    firms: frozenset[str]
-    workers: frozenset[str]
-    firm_valuations: dict[str, dict[WorkerSet, Fraction]]
-    worker_valuations: dict[str, dict[str, Fraction]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "firms", frozenset(self.firms))
-        object.__setattr__(self, "workers", frozenset(self.workers))
+    def __new__(cls, firms, workers, firm_valuations, worker_valuations):
         fv = {
             f: {_freeze_set(s): _fraction(v) for s, v in vals.items()}
-            for f, vals in self.firm_valuations.items()
+            for f, vals in firm_valuations.items()
         }
         wv = {
             w: {f: _fraction(v) for f, v in vals.items()}
-            for w, vals in self.worker_valuations.items()
+            for w, vals in worker_valuations.items()
         }
-        object.__setattr__(self, "firm_valuations", fv)
-        object.__setattr__(self, "worker_valuations", wv)
+        self = super().__new__(cls, frozenset(firms), frozenset(workers), fv, wv)
         require_valid(self)
+        return self
 
     @property
     def kind(self) -> str:
@@ -103,8 +107,14 @@ class TuMarket:
         return self.worker_valuations[w][f]
 
 
-@dataclass(frozen=True, eq=True)
-class DiscreteMarket:
+class _DiscreteMarketFields(NamedTuple):
+    firms: frozenset[str]
+    workers: frozenset[str]
+    firm_prefs: dict[str, tuple[WorkerSet, ...]]
+    worker_prefs: dict[str, tuple[str, ...]]
+
+
+class DiscreteMarket(_DiscreteMarketFields):
     """Discrete market: strict ranked preferences on both sides.
 
     ``firm_prefs[f]`` lists f's acceptable worker sets best-first; any set
@@ -113,22 +123,14 @@ class DiscreteMarket:
     best-first; unlisted firms rank below staying unmatched.
     """
 
-    firms: frozenset[str]
-    workers: frozenset[str]
-    firm_prefs: dict[str, tuple[WorkerSet, ...]]
-    worker_prefs: dict[str, tuple[str, ...]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "firms", frozenset(self.firms))
-        object.__setattr__(self, "workers", frozenset(self.workers))
-        fp = {
-            f: tuple(_freeze_set(s) for s in prefs)
-            for f, prefs in self.firm_prefs.items()
-        }
-        wp = {w: tuple(prefs) for w, prefs in self.worker_prefs.items()}
-        object.__setattr__(self, "firm_prefs", fp)
-        object.__setattr__(self, "worker_prefs", wp)
+    def __new__(cls, firms, workers, firm_prefs, worker_prefs):
+        fp = {f: tuple(_freeze_set(s) for s in prefs) for f, prefs in firm_prefs.items()}
+        wp = {w: tuple(prefs) for w, prefs in worker_prefs.items()}
+        self = super().__new__(cls, frozenset(firms), frozenset(workers), fp, wp)
         require_valid(self)
+        return self
 
     @property
     def kind(self) -> str:
@@ -330,18 +332,22 @@ def satisfactory_sets(m: DiscreteMarket, f: str) -> tuple[WorkerSet, ...]:
     return tuple(sorted(sets, key=set_key))
 
 
-@dataclass(frozen=True, eq=True)
-class Coalition:
-    """Either a singleton {i} (firm with empty workers, or a lone worker
-    with firm=None) or a firm together with a non-empty worker set."""
-
+class _CoalitionFields(NamedTuple):
     firm: str | None
     workers: WorkerSet
 
-    def __post_init__(self):
-        object.__setattr__(self, "workers", _freeze_set(self.workers))
-        if self.firm is None and len(self.workers) != 1:
+
+class Coalition(_CoalitionFields):
+    """Either a singleton {i} (firm with empty workers, or a lone worker
+    with firm=None) or a firm together with a non-empty worker set."""
+
+    __slots__ = ()
+
+    def __new__(cls, firm, workers):
+        workers = _freeze_set(workers)
+        if firm is None and len(workers) != 1:
             raise ValueError("a firmless coalition must be a single worker")
+        return super().__new__(cls, firm, workers)
 
     @classmethod
     def singleton(cls, agent: str, *, is_firm: bool) -> "Coalition":
@@ -396,22 +402,24 @@ def coalition_value(m: TuMarket, c: Coalition) -> Fraction:
     return total
 
 
-@dataclass(frozen=True, eq=True)
-class TuMatching:
+class _TuMatchingFields(NamedTuple):
+    assignment: dict[str, str]
+    prices: dict[str, Fraction]
+
+
+class TuMatching(_TuMatchingFields):
     """Assignment of workers to firms plus a wage schedule.
 
     Only matched workers appear in ``assignment``; a missing price entry
     means a wage of 0.  Unmatched workers must not carry a nonzero price.
+    Each matching holds its own ``prices`` dict.
     """
 
-    assignment: dict[str, str]
-    prices: dict[str, Fraction] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", dict(self.assignment))
-        object.__setattr__(
-            self, "prices", {w: _fraction(p) for w, p in self.prices.items()}
-        )
+    def __new__(cls, assignment, prices=None):
+        prices = {w: _fraction(p) for w, p in (prices or {}).items()}
+        return super().__new__(cls, dict(assignment), prices)
 
     def firm_of(self, w: str) -> str | None:
         return self.assignment.get(w)
@@ -423,14 +431,17 @@ class TuMatching:
         return self.prices.get(w, Fraction(0))
 
 
-@dataclass(frozen=True, eq=True)
-class DiscreteMatching:
-    """Assignment of workers to firms; missing workers are unmatched."""
-
+class _DiscreteMatchingFields(NamedTuple):
     assignment: dict[str, str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", dict(self.assignment))
+
+class DiscreteMatching(_DiscreteMatchingFields):
+    """Assignment of workers to firms; missing workers are unmatched."""
+
+    __slots__ = ()
+
+    def __new__(cls, assignment):
+        return super().__new__(cls, dict(assignment))
 
     def firm_of(self, w: str) -> str | None:
         return self.assignment.get(w)

@@ -10,7 +10,7 @@ paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hypergraph import BalanceVerdict, build_hypergraph, check_balanced
 from .errors import InvalidMarketError
@@ -23,40 +23,38 @@ from .model import (
 )
 
 
-@dataclass(frozen=True, eq=True)
-class Roadmap:
-    """Directed tree of technologies; ``demanded[v]`` is the non-empty
-    worker set technology v needs."""
-
+class _RoadmapFields(NamedTuple):
     technologies: frozenset[str]
     edges: tuple[tuple[str, str], ...]
     demanded: dict[str, WorkerSet]
 
-    def __post_init__(self):
-        object.__setattr__(self, "technologies", frozenset(self.technologies))
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        object.__setattr__(
-            self, "demanded", {v: frozenset(s) for v, s in self.demanded.items()}
-        )
+
+class Roadmap(_RoadmapFields):
+    """Directed tree of technologies; ``demanded[v]`` is the non-empty
+    worker set technology v needs."""
+
+    __slots__ = ()
+
+    def __new__(cls, technologies, edges, demanded):
+        edges = tuple(tuple(e) for e in edges)
+        demanded = {v: frozenset(s) for v, s in demanded.items()}
+        return super().__new__(cls, frozenset(technologies), edges, demanded)
 
 
-@dataclass(frozen=True, eq=True)
-class TechnologyPath:
+class TechnologyPath(NamedTuple):
     """A directed path of the roadmap, or a single vertex (no edges)."""
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class SpecializationResult:
+class SpecializationResult(NamedTuple):
     specialized: bool
     firm_paths: dict[str, TechnologyPath] | None = None
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class Theorem3Report:
+class Theorem3Report(NamedTuple):
     all_specialists: bool
     non_specialists: tuple[str, ...]
     specialization: SpecializationResult

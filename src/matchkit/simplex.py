@@ -25,9 +25,9 @@ over common denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import CertificateError
 
@@ -38,8 +38,7 @@ class LpInternalError(CertificateError):
     the arithmetic went wrong."""
 
 
-@dataclass
-class LpResult:
+class LpResult(NamedTuple):
     value: Fraction
     x: list[Fraction]
     duals: list[Fraction]

@@ -18,8 +18,8 @@ matching, builds them again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CertificateError, SizeGuardExceeded
 from .model import (
@@ -42,8 +42,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class TuLpProblem:
+class TuLpProblem(NamedTuple):
     """min sum x(i)  s.t.  sum_{i in S} x(i) >= V(S) for S in I u E."""
 
     agents: tuple[str, ...]
@@ -58,16 +57,14 @@ class TuLpProblem:
         ]
 
 
-@dataclass(frozen=True)
-class DualSolution:
+class DualSolution(NamedTuple):
     """Nonnegative coalition weights covering every agent exactly once."""
 
     weights: dict[Coalition, Fraction]
     value: Fraction
 
 
-@dataclass(frozen=True)
-class StabilityViolation:
+class StabilityViolation(NamedTuple):
     kind: str  # "ir" or "block"
     agent: str | None = None
     coalition: Coalition | None = None
@@ -75,14 +72,12 @@ class StabilityViolation:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class TuStabilityVerdict:
+class TuStabilityVerdict(NamedTuple):
     stable: bool
     violations: tuple[StabilityViolation, ...] = ()
 
 
-@dataclass(frozen=True)
-class TuStabilityReport:
+class TuStabilityReport(NamedTuple):
     lp_value: Fraction
     partition_value: Fraction
     stable: bool
