@@ -16,19 +16,20 @@ market, and the market constructors reject an invalid one with every
 violation in one ``InvalidMarketError`` (exit 2), before any kind check.
 ``roadmap.theorem3_report`` checks the roadmap against the market the same
 way.
+
+Each input file is read once, by ``io``, which records the SHA-256 of the
+bytes parsed in the report's ``inputs``.  ``--format json`` is written by
+``io.to_json``, byte for byte what ``json.dumps(report, indent=2)`` gives.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import json
 import os
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from . import analysis, discrete_solver, generator, hypergraph, io, roadmap, tu_solver
 from .errors import (
@@ -48,10 +49,6 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-
-
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _render_human(obj, indent: int = 0) -> list[str]:
@@ -96,7 +93,7 @@ def emit_report(args, command: str, inputs: dict[str, str], facts: dict, t0: flo
         "timing_ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(io.to_json(report))
     else:
         print("\n".join(_render_human(report)))
 
@@ -110,6 +107,11 @@ def _cycle_facts(h, c) -> dict:
     }
 
 
+def _witness_facts(market, c) -> dict | None:
+    """A witness cycle's facts; the hypergraph is built only if there is one."""
+    return _cycle_facts(hypergraph.build_hypergraph(market), c) if c else None
+
+
 def _matrix_facts(m) -> dict:
     return {
         "rows": list(m.rows),
@@ -120,7 +122,8 @@ def _matrix_facts(m) -> dict:
 
 def cmd_balance(args) -> int:
     t0 = time.perf_counter()
-    market = io.load_market(args.market)
+    inputs: dict = {}
+    market = io.load_market(args.market, inputs)
     if args.kind and market.kind != args.kind:
         raise MarketFormatError(
             f"file holds a {market.kind} market but --kind {args.kind} was given"
@@ -133,7 +136,7 @@ def cmd_balance(args) -> int:
         "balanced": verdict.balanced,
         "witness": _cycle_facts(h, verdict.witness) if verdict.witness else None,
     }
-    emit_report(args, "balance", {args.market: _digest(args.market)}, facts, t0)
+    emit_report(args, "balance", inputs, facts, t0)
     return EXIT_OK if verdict.balanced else EXIT_NEGATIVE
 
 
@@ -151,7 +154,8 @@ def _dual_facts(dual) -> dict:
 
 def cmd_solve_tu(args) -> int:
     t0 = time.perf_counter()
-    market = io.load_market(args.market)
+    inputs: dict = {}
+    market = io.load_market(args.market, inputs)
     if not isinstance(market, TuMarket):
         raise MarketFormatError("solve-tu needs a TU market file")
     report = tu_solver.find_stable_matching_tu(market, budget=args.budget)
@@ -172,20 +176,19 @@ def cmd_solve_tu(args) -> int:
         facts["lp_primal"] = {
             a: str(v) for a, v in sorted(report.lp_primal.items())
         }
-    emit_report(args, "solve-tu", {args.market: _digest(args.market)}, facts, t0)
+    emit_report(args, "solve-tu", inputs, facts, t0)
     return EXIT_OK if report.stable else EXIT_NEGATIVE
 
 
 def cmd_solve_discrete(args) -> int:
     t0 = time.perf_counter()
-    market = io.load_market(args.market)
+    inputs: dict = {}
+    market = io.load_market(args.market, inputs)
     if not isinstance(market, DiscreteMarket):
         raise MarketFormatError("solve-discrete needs a discrete market file")
-    inputs = {args.market: _digest(args.market)}
     if args.dynamics:
         if args.start:
-            start = io.parse_matching(io.load_json(args.start), "discrete")
-            inputs[args.start] = _digest(args.start)
+            start = io.parse_matching(io.load_json(args.start, inputs), "discrete")
             unknown = [
                 (w, f)
                 for w, f in start.assignment.items()
@@ -230,21 +233,19 @@ def cmd_solve_discrete(args) -> int:
 
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
-    market = io.load_market(args.market)
+    inputs: dict = {}
+    market = io.load_market(args.market, inputs)
     if not isinstance(market, DiscreteMarket):
         raise MarketFormatError("analyze needs a discrete market file")
     run_all = not (args.prop1 or args.demand_type or args.tu_check or args.certificate)
     facts: dict = {}
-    h = hypergraph.build_hypergraph(market)
     prop1_verdict = None
     if run_all or args.prop1 or args.certificate:
         prop1_verdict = analysis.prop1_check(market, budget=args.budget)
     if run_all or args.prop1:
         facts["prop1"] = {
             "guaranteed": prop1_verdict.guaranteed,
-            "witness": _cycle_facts(h, prop1_verdict.witness)
-            if prop1_verdict.witness
-            else None,
+            "witness": _witness_facts(market, prop1_verdict.witness),
         }
     if run_all or args.demand_type or args.tu_check:
         dt = analysis.demand_type(market)
@@ -271,16 +272,16 @@ def cmd_analyze(args) -> int:
             facts["certificate"] = _matrix_facts(cert)
         else:
             facts["certificate"] = None
-    emit_report(args, "analyze", {args.market: _digest(args.market)}, facts, t0)
+    emit_report(args, "analyze", inputs, facts, t0)
     return EXIT_OK
 
 
 def cmd_roadmap(args) -> int:
     t0 = time.perf_counter()
-    market = io.load_market(args.market)
-    rm = io.load_roadmap(args.roadmap)
+    inputs = {args.roadmap: ""}  # the report lists the roadmap first
+    market = io.load_market(args.market, inputs)
+    rm = io.load_roadmap(args.roadmap, inputs)
     report = roadmap.theorem3_report(market, rm, budget=args.budget)
-    h = hypergraph.build_hypergraph(market)
     facts = {
         "specialists": report.all_specialists,
         "non_specialists": list(report.non_specialists),
@@ -293,18 +294,10 @@ def cmd_roadmap(args) -> int:
         else None,
         "reason": report.specialization.reason,
         "balanced": report.balance.balanced,
-        "witness": _cycle_facts(h, report.balance.witness)
-        if report.balance.witness
-        else None,
+        "witness": _witness_facts(market, report.balance.witness),
         "falsification": report.falsification,
     }
-    emit_report(
-        args,
-        "roadmap",
-        {args.roadmap: _digest(args.roadmap), args.market: _digest(args.market)},
-        facts,
-        t0,
-    )
+    emit_report(args, "roadmap", inputs, facts, t0)
     return EXIT_OK if report.all_hold else EXIT_NEGATIVE
 
 

@@ -1,17 +1,23 @@
 """JSON file formats for markets, matchings, and roadmaps.
 
 Market files carry a top-level ``kind`` ("tu" or "discrete").  Rationals
-are decimal-free strings ("6", "-3/2"); plain JSON integers are accepted on
-input.  Worker sets are arrays, order-insensitive and deduplicated on
-parse.  Serialization is canonical (sorted keys, sorted set members) so
+are JSON integers or strings in any form ``Fraction(str)`` accepts: "6" and
+"-3/2", but also "1.5", "1e3" and " 7 ".  Worker sets are arrays,
+order-insensitive and deduplicated on parse.  Serialization is canonical
+(sorted keys, sorted set members, rationals as ``str(Fraction)``) so
 identical values produce identical bytes.
+
+``load_json`` reads each file once, so the SHA-256 it records describes the
+bytes parsed.  ``to_json`` writes ``json.dumps(obj, indent=2)``'s bytes
+without the pure-Python encoder that ``json.dumps`` uses when indenting.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import MarketFormatError, MatchkitError
 from .model import (
@@ -28,6 +34,14 @@ def _rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise MarketFormatError(f"{where}: rationals must be strings or integers")
     try:
+        if isinstance(value, str) and value.isascii():
+            # -?[0-9]+(/[0-9]+)? skips Fraction's regex, unless D is 0.
+            num, slash, den = value.partition("/")
+            digits = num.removeprefix("-")
+            if digits.isdigit() and (den.isdigit() or not slash):
+                n, d = int(digits), int(den or 1)
+                if d:
+                    return Fraction(-n if num[0] == "-" else n, d)
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise MarketFormatError(f"{where}: bad rational {value!r} ({e})")
@@ -183,33 +197,89 @@ def serialize_roadmap(r: Roadmap) -> dict:
     }
 
 
+_escape = json.encoder.encode_basestring_ascii  # TypeError on a non-str
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write(obj, out: list, nl: str, sort_keys: bool) -> None:
+    """Append the pieces of ``obj`` to ``out``; ``nl`` is a newline plus the
+    current indentation."""
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        r = float.__repr__(obj)
+        out.append(_FLOATS.get(r, r))
+    elif isinstance(obj, (list, tuple)):
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            sep = "," + inner
+            _write(item, out, inner, sort_keys)
+        out.append(nl + "]" if obj else "[]")
+    elif isinstance(obj, dict):
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()) if sort_keys else obj.items():
+            out.append(sep + _escape(key) + ": ")
+            sep = "," + inner
+            _write(value, out, inner, sort_keys)
+        out.append(nl + "}" if obj else "{}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def to_json(obj, sort_keys: bool = False) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=sort_keys)`` for dicts with
+    string keys, lists, tuples, strings, ints, floats, bools and None;
+    anything else raises TypeError."""
+    out: list[str] = []
+    _write(obj, out, "\n", sort_keys)
+    return "".join(out)
+
+
 def to_canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return to_json(obj, sort_keys=True) + "\n"
 
 
-def load_json(path: str | Path):
+def load_json(path: str | os.PathLike, inputs: dict | None = None):
+    """Parse the JSON file at ``path``, read once.  With ``inputs``, record
+    ``inputs[path]`` = the SHA-256 of the bytes parsed."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as f:
+            raw = f.read()
+        text = raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise MarketFormatError(f"cannot read {path}: {e}")
+    if inputs is not None:
+        inputs[path] = hashlib.sha256(raw).hexdigest()
+    if "\r" in text:  # universal newlines, as a text-mode read gives
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise MarketFormatError(f"{path}: invalid JSON ({e})")
 
 
-def write_json(path: str | Path, obj) -> None:
+def write_json(path: str | os.PathLike, obj) -> None:
     """Write ``obj`` as canonical JSON; an unwritable path raises
     MatchkitError, as an unreadable one does in ``load_json``."""
+    text = to_canonical_json(obj)
     try:
-        Path(path).write_text(to_canonical_json(obj), encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
     except OSError as e:
         raise MatchkitError(f"cannot write {path}: {e}")
 
 
-def load_market(path: str | Path) -> Market:
-    return parse_market(load_json(path))
+def load_market(path: str | os.PathLike, inputs: dict | None = None) -> Market:
+    return parse_market(load_json(path, inputs))
 
 
-def load_roadmap(path: str | Path) -> Roadmap:
-    return parse_roadmap(load_json(path))
+def load_roadmap(path: str | os.PathLike, inputs: dict | None = None) -> Roadmap:
+    return parse_roadmap(load_json(path, inputs))
