@@ -29,7 +29,6 @@ import functools
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import analysis, discrete_solver, generator, hypergraph, io, roadmap, tu_solver
 from .errors import (
@@ -309,7 +308,10 @@ def cmd_gen(args) -> int:
             worker_count=args.workers,
             max_acceptable_sets_per_firm=args.max_sets,
             max_set_size=args.max_set_size,
-            value_range=(Fraction(args.value_min), Fraction(args.value_max)),
+            value_range=(
+                io._rational(args.value_min, "--value-min"),
+                io._rational(args.value_max, "--value-max"),
+            ),
             acceptability_density=args.density,
         )
         if args.kind == "tu":

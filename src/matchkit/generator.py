@@ -11,6 +11,13 @@ are reproducible bit-for-bit from (seed, params) on any platform:
 
 Integer draws use rejection-free reduction (value mod range), which is
 deterministic; slight modulo bias is irrelevant for fuzzing.
+
+A value in [lo, hi] is drawn from a table of (d, n_lo, n_hi) triples, one
+per denominator d <= 8 with some n/d in range: a uniform row, then
+n in [n_lo, n_hi], giving n/d.  The table is built once per range and read
+once per market.  A roadmap firm that every technology path would overlap
+raises at once instead of spending its retry draws; the draws are the
+call's own, so every output and error is the same as with the retries.
 """
 
 from __future__ import annotations
@@ -27,11 +34,18 @@ MASK64 = (1 << 64) - 1
 
 
 @functools.lru_cache(maxsize=64)
-def _denominators(lo: Fraction, hi: Fraction, max_den: int) -> tuple[int, ...]:
-    """The denominators d <= max_den for which [lo, hi] holds some n/d."""
-    return tuple(
-        d for d in range(1, max_den + 1) if math.ceil(lo * d) <= math.floor(hi * d)
-    )
+def _denominators(
+    lo: Fraction, hi: Fraction, max_den: int
+) -> tuple[tuple[int, int, int], ...]:
+    """(d, n_lo, n_hi) for each denominator d <= max_den for which [lo, hi]
+    holds some n/d: exactly the n in [n_lo, n_hi]."""
+    bounds = ((d, math.ceil(lo * d), math.floor(hi * d)) for d in range(1, max_den + 1))
+    return tuple(row for row in bounds if row[1] <= row[2])
+
+
+def _value(rng: SplitMix64, table: tuple[tuple[int, int, int], ...]) -> Fraction:
+    d, n_lo, n_hi = rng.choice(table)
+    return Fraction(rng.randint(n_lo, n_hi), d)
 
 
 class SplitMix64:
@@ -70,12 +84,10 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
     def fraction(self, lo: Fraction, hi: Fraction, max_den: int = 8) -> Fraction:
-        feasible = _denominators(lo, hi, max_den)
-        if not feasible:
+        table = _denominators(lo, hi, max_den)
+        if not table:
             raise ValueError(f"no rational with denominator <= {max_den} in [{lo}, {hi}]")
-        d = self.choice(feasible)
-        n = self.randint(math.ceil(lo * d), math.floor(hi * d))
-        return Fraction(n, d)
+        return _value(self, table)
 
 
 class _GenParamsFields(NamedTuple):
@@ -151,14 +163,12 @@ def _market(
     acceptable sets come from ``sets_for(f)``, then get a value each (TU) or
     are shuffled into a ranking (discrete); each worker accepts each firm
     with probability ``p.acceptability_density``, likewise valued or ranked."""
-    lo, hi = p.value_range
     density = p.acceptability_density
     if kind == "tu":
-        firm_valuations = {
-            f: {s: rng.fraction(lo, hi) for s in sets_for(f)} for f in firms
-        }
+        table = _denominators(*p.value_range, 8)
+        firm_valuations = {f: {s: _value(rng, table) for s in sets_for(f)} for f in firms}
         worker_valuations = {
-            w: {f: rng.fraction(lo, hi) for f in firms if rng.chance(density)}
+            w: {f: _value(rng, table) for f in firms if rng.chance(density)}
             for w in workers
         }
         return TuMarket(
@@ -251,14 +261,17 @@ def gen_roadmap_instance(
         for v in path.vertices:
             demanded[v].add(w)
 
+    path_vertices = [frozenset(path.vertices) for path in paths]
     used: set[str] = set()
     firm_paths: dict[str, TechnologyPath] = {}
     for f in firms:
-        for _ in range(max_attempts):
-            cand = rng.choice(paths)
-            if not (set(cand.vertices) & used):
-                firm_paths[f] = cand
-                used |= set(cand.vertices)
+        # When every path meets ``used``, no retry can succeed: skip them.
+        feasible = any(used.isdisjoint(vs) for vs in path_vertices)
+        for _ in range(max_attempts if feasible else 0):
+            i = rng.randint(0, len(paths) - 1)
+            if used.isdisjoint(path_vertices[i]):
+                firm_paths[f] = paths[i]
+                used |= path_vertices[i]
                 break
         else:
             raise ValueError(f"no disjoint path found for {f} within retry budget")

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,11 +17,15 @@ from matchkit import (
 from matchkit.generator import (
     GenParams,
     SplitMix64,
+    _names,
+    _sample_sets,
     gen_discrete_market,
     gen_roadmap_instance,
     gen_tu_market,
     validate_params,
 )
+from matchkit.model import DiscreteMarket, TuMarket
+from matchkit.roadmap import Roadmap, TechnologyPath, technology_paths
 
 F = Fraction
 
@@ -158,9 +164,12 @@ class TestRoadmapInstances:
         assert produced >= 50
 
 
+def _canonical(*documents) -> str:
+    return "".join(io.to_canonical_json(d) for d in documents)
+
+
 def _digest(*documents) -> str:
-    text = "".join(io.to_canonical_json(d) for d in documents)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(*documents).encode("utf-8")).hexdigest()
 
 
 class TestKnownAnswers:
@@ -215,3 +224,205 @@ class TestKnownAnswers:
     def test_roadmap_retry_failure(self):
         with pytest.raises(ValueError, match="no disjoint path found for f4"):
             gen_roadmap_instance(GenParams(seed=1, **SUITE_PARAMS), kind="tu")
+
+
+# The generator as it was before the value table and the early retry exit:
+# the reference that the current one must match draw for draw.
+
+
+@functools.lru_cache(maxsize=64)
+def reference_denominators(lo, hi, max_den):
+    return tuple(
+        d for d in range(1, max_den + 1) if math.ceil(lo * d) <= math.floor(hi * d)
+    )
+
+
+def reference_fraction(rng, lo, hi, max_den=8):
+    feasible = reference_denominators(lo, hi, max_den)
+    if not feasible:
+        raise ValueError(f"no rational with denominator <= {max_den} in [{lo}, {hi}]")
+    d = rng.choice(feasible)
+    n = rng.randint(math.ceil(lo * d), math.floor(hi * d))
+    return Fraction(n, d)
+
+
+def reference_market(rng, kind, firms, workers, p, sets_for):
+    lo, hi = p.value_range
+    density = p.acceptability_density
+    if kind == "tu":
+        firm_valuations = {
+            f: {s: reference_fraction(rng, lo, hi) for s in sets_for(f)} for f in firms
+        }
+        worker_valuations = {
+            w: {f: reference_fraction(rng, lo, hi) for f in firms if rng.chance(density)}
+            for w in workers
+        }
+        return TuMarket(
+            firms=frozenset(firms),
+            workers=frozenset(workers),
+            firm_valuations=firm_valuations,
+            worker_valuations=worker_valuations,
+        )
+    firm_prefs = {}
+    for f in firms:
+        sets = list(sets_for(f))
+        rng.shuffle(sets)
+        firm_prefs[f] = tuple(sets)
+    worker_prefs = {}
+    for w in workers:
+        accepted = [f for f in firms if rng.chance(density)]
+        rng.shuffle(accepted)
+        worker_prefs[w] = tuple(accepted)
+    return DiscreteMarket(
+        firms=frozenset(firms),
+        workers=frozenset(workers),
+        firm_prefs=firm_prefs,
+        worker_prefs=worker_prefs,
+    )
+
+
+def reference_random_market(p, kind):
+    validate_params(p)
+    rng = SplitMix64(p.seed)
+    workers = _names("w", p.worker_count)
+    firms = _names("f", p.firm_count)
+    return reference_market(
+        rng, kind, firms, workers, p, lambda f: _sample_sets(rng, workers, p)
+    )
+
+
+def reference_roadmap_instance(p, kind="discrete", max_attempts=200):
+    validate_params(p)
+    if p.worker_count < 1:
+        raise ValueError("roadmap instances need at least one worker")
+    if p.firm_count > p.worker_count:
+        raise ValueError(
+            "roadmap instances need firm_count <= worker_count for disjoint paths"
+        )
+    rng = SplitMix64(p.seed)
+    firms = _names("f", p.firm_count)
+    workers = _names("w", p.worker_count)
+    n_v = rng.randint(max(1, p.firm_count), p.worker_count)
+    vertices = _names("v", n_v)
+    edges = []
+    for i in range(1, n_v):
+        other = vertices[rng.randint(0, i - 1)]
+        if rng.chance(0.5):
+            edges.append((other, vertices[i]))
+        else:
+            edges.append((vertices[i], other))
+    skeleton = Roadmap(
+        technologies=frozenset(vertices),
+        edges=tuple(edges),
+        demanded={v: frozenset({"placeholder"}) for v in vertices},
+    )
+    paths = technology_paths(skeleton)
+    demanded = {v: set() for v in vertices}
+    for i, w in enumerate(workers):
+        if i < n_v:
+            path = TechnologyPath(vertices=(vertices[i],), edges=())
+        else:
+            path = rng.choice(paths)
+        for v in path.vertices:
+            demanded[v].add(w)
+    used = set()
+    firm_paths = {}
+    for f in firms:
+        for _ in range(max_attempts):
+            cand = rng.choice(paths)
+            if not (set(cand.vertices) & used):
+                firm_paths[f] = cand
+                used |= set(cand.vertices)
+                break
+        else:
+            raise ValueError(f"no disjoint path found for {f} within retry budget")
+    roadmap = Roadmap(
+        technologies=frozenset(vertices),
+        edges=tuple(edges),
+        demanded={v: frozenset(s) for v, s in demanded.items()},
+    )
+    acceptable = {}
+    for f in firms:
+        pool = []
+        for v in firm_paths[f].vertices:
+            s = roadmap.demanded[v]
+            if s not in pool:
+                pool.append(s)
+        k = rng.randint(1, min(max(1, p.max_acceptable_sets_per_firm), len(pool)))
+        acceptable[f] = rng.sample(pool, k)
+    return roadmap, reference_market(rng, kind, firms, workers, p, lambda f: acceptable[f])
+
+
+def _document(make):
+    """Canonical JSON of what ``make()`` returns, or the text of its
+    ``ValueError``."""
+    try:
+        made = make()
+    except ValueError as e:
+        return f"ValueError: {e}"
+    if isinstance(made[0], Roadmap):  # a (roadmap, market) instance
+        return _canonical(io.serialize_roadmap(made[0]), io.serialize_market(made[1]))
+    return _canonical(io.serialize_market(made))
+
+
+def _random(params, kind):
+    return gen_tu_market(params) if kind == "tu" else gen_discrete_market(params)
+
+
+SHAPES = {
+    "suite": SUITE_PARAMS,
+    "defaults": {},
+    "8x12": dict(firm_count=8, worker_count=12, max_acceptable_sets_per_firm=8,
+                 max_set_size=4),
+}
+
+
+class TestAgainstReferenceGenerator:
+    """Every generator matches the reference byte for byte, errors included."""
+
+    def _check(self, params):
+        for kind in ("tu", "discrete"):
+            assert _document(lambda: _random(params, kind)) == _document(
+                lambda: reference_random_market(params, kind)
+            )
+            for attempts in (1, 2, 5, 200):
+                assert _document(
+                    lambda: gen_roadmap_instance(params, kind, attempts)
+                ) == _document(lambda: reference_roadmap_instance(params, kind, attempts))
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_seeds(self, shape):
+        for seed in range(300):
+            self._check(GenParams(seed=seed, **SHAPES[shape]))
+
+    def test_benchmark_stream_seeds(self):
+        # The generator seeds perfbench draws for its benchmark seed 7.
+        for j in range(450):
+            self._check(GenParams(seed=7 * 100_000 + j, **SUITE_PARAMS))
+
+    def test_fraction_stream(self):
+        a, b = SplitMix64(3), SplitMix64(3)
+        for lo, hi in ((F(0), F(10)), (F(-1, 2), F(7, 3)), (F(1, 3), F(1, 3))):
+            for _ in range(50):
+                assert a.fraction(lo, hi) == reference_fraction(b, lo, hi)
+        assert a.next_u64() == b.next_u64()
+
+
+def test_impossible_retries_draw_nothing(monkeypatch):
+    calls = [0]
+    step = SplitMix64.next_u64
+
+    def counted(self):
+        calls[0] += 1
+        return step(self)
+
+    monkeypatch.setattr(SplitMix64, "next_u64", counted)
+    params = GenParams(seed=1, **SUITE_PARAMS)
+    with pytest.raises(ValueError, match="no disjoint path found for f4"):
+        reference_roadmap_instance(params, kind="tu")
+    # The reference spends its 200 retry draws on f4 before raising.
+    before_f4 = calls[0] - 200
+    calls[0] = 0
+    with pytest.raises(ValueError, match="no disjoint path found for f4"):
+        gen_roadmap_instance(params, kind="tu")
+    assert calls[0] == before_f4

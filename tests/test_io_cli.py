@@ -374,6 +374,17 @@ class TestCmdGen:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--value-min", "--value-max"])
+    @pytest.mark.parametrize("bound", ["1/0", "abc"])
+    def test_value_bound_not_rational_is_input_error(self, tmp_path, capsys, flag, bound):
+        out = tmp_path / "x.json"
+        code = main(["gen", "tu", "--seed", "0", flag, bound, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: bad rational {bound!r}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--out", "--roadmap-out"])
     def test_unwritable_output_is_input_error(self, tmp_path, capsys, flag):
         bad = tmp_path / "missing" / "x.json"
