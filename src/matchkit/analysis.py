@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .errors import CertificateError, SizeGuardExceeded
 from .hypergraph import (
+    FirmWorkerHypergraph,
     HyperCycle,
     IntMatrix,
     build_hypergraph,
@@ -68,6 +69,7 @@ class Prop1Verdict(NamedTuple):
 
     guaranteed: bool
     witness: HyperCycle | None = None
+    hypergraph: FirmWorkerHypergraph | None = None  # the witness indexes its edges
 
 
 class Prop2Report(NamedTuple):
@@ -212,20 +214,20 @@ def prop1_check(m: DiscreteMarket, budget: int = DEFAULT_BUDGET) -> Prop1Verdict
     h = build_hypergraph(m)
     for c in iter_cycles(h, odd_only=True, nontrivial_only=True, budget=budget):
         if _cycle_qualifies(m, h, c):
-            return Prop1Verdict(guaranteed=False, witness=c)
-    return Prop1Verdict(guaranteed=True)
+            return Prop1Verdict(guaranteed=False, witness=c, hypergraph=h)
+    return Prop1Verdict(guaranteed=True, hypergraph=h)
 
 
-def tu_cycle_certificate(m: DiscreteMarket, c: HyperCycle) -> IntMatrix:
+def tu_cycle_certificate(m: DiscreteMarket, c: HyperCycle, h=None) -> IntMatrix:
     """Turn a qualifying nontrivial odd cycle into a square matrix of
     demand vectors with |det| = 2, witnessing non-total-unimodularity.
 
     Start from the cycle's incidence matrix; within each firm's column
     block (ordered so later sets are chosen over earlier ones) subtract the
     first column from the rest; then drop each cycle-vertex firm's row
-    together with its first column.
+    together with its first column; ``h`` is m's hypergraph if already built.
     """
-    h = build_hypergraph(m)
+    h = h or build_hypergraph(m)
     if not is_cycle(h, c):
         raise ValueError("not a cycle of the market's hypergraph")
     if not is_nontrivial_odd(h, c):

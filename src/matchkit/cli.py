@@ -97,18 +97,16 @@ def emit_report(args, command: str, inputs: dict[str, str], facts: dict, t0: flo
         print("\n".join(_render_human(report)))
 
 
-def _cycle_facts(h, c) -> dict:
+def _cycle_facts(h, c) -> dict | None:
+    """A witness cycle's facts, read off the hypergraph it was found in."""
+    if c is None:
+        return None
     return {
         "length": len(c),
         "vertices": list(c.vertices),
         "edges": list(c.edges),
         "edge_members": [sorted(h.edge_members(i)) for i in c.edges],
     }
-
-
-def _witness_facts(market, c) -> dict | None:
-    """A witness cycle's facts; the hypergraph is built only if there is one."""
-    return _cycle_facts(hypergraph.build_hypergraph(market), c) if c else None
 
 
 def _matrix_facts(m) -> dict:
@@ -133,7 +131,7 @@ def cmd_balance(args) -> int:
         "kind": market.kind,
         "edge_count": len(h.edges),
         "balanced": verdict.balanced,
-        "witness": _cycle_facts(h, verdict.witness) if verdict.witness else None,
+        "witness": _cycle_facts(h, verdict.witness),
     }
     emit_report(args, "balance", inputs, facts, t0)
     return EXIT_OK if verdict.balanced else EXIT_NEGATIVE
@@ -238,13 +236,13 @@ def cmd_analyze(args) -> int:
         raise MarketFormatError("analyze needs a discrete market file")
     run_all = not (args.prop1 or args.demand_type or args.tu_check or args.certificate)
     facts: dict = {}
-    prop1_verdict = None
+    p1 = None
     if run_all or args.prop1 or args.certificate:
-        prop1_verdict = analysis.prop1_check(market, budget=args.budget)
+        p1 = analysis.prop1_check(market, budget=args.budget)
     if run_all or args.prop1:
         facts["prop1"] = {
-            "guaranteed": prop1_verdict.guaranteed,
-            "witness": _witness_facts(market, prop1_verdict.witness),
+            "guaranteed": p1.guaranteed,
+            "witness": _cycle_facts(p1.hypergraph, p1.witness),
         }
     if run_all or args.demand_type or args.tu_check:
         dt = analysis.demand_type(market)
@@ -266,8 +264,8 @@ def cmd_analyze(args) -> int:
                 "determinant": verdict.determinant,
             }
     if run_all or args.certificate:
-        if prop1_verdict.witness is not None:
-            cert = analysis.tu_cycle_certificate(market, prop1_verdict.witness)
+        if p1.witness is not None:
+            cert = analysis.tu_cycle_certificate(market, p1.witness, p1.hypergraph)
             facts["certificate"] = _matrix_facts(cert)
         else:
             facts["certificate"] = None
@@ -293,7 +291,7 @@ def cmd_roadmap(args) -> int:
         else None,
         "reason": report.specialization.reason,
         "balanced": report.balance.balanced,
-        "witness": _witness_facts(market, report.balance.witness),
+        "witness": _cycle_facts(report.hypergraph, report.balance.witness),
         "falsification": report.falsification,
     }
     emit_report(args, "roadmap", inputs, facts, t0)
@@ -322,11 +320,13 @@ def cmd_gen(args) -> int:
             if not args.roadmap_out:
                 raise ValueError("gen roadmap needs --roadmap-out")
             rm, market = generator.gen_roadmap_instance(params, kind=args.market_kind)
+        data = io.serialize_market(market)  # a value past str()'s digit limit raises
+        if args.kind == "roadmap":
             io.write_json(args.roadmap_out, io.serialize_roadmap(rm))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    io.write_json(args.out, io.serialize_market(market))
+    io.write_json(args.out, data)
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -5,13 +5,18 @@ The blocking search per firm f looks at T_f, the workers weakly preferring
 f to their current match; Ch_f(T_f) dominates every coalition f could form,
 so checking it against mu(f) is both sound and complete.  A firm holding a
 non-satisfactory set is flagged through the same route (its choice from T_f
-beats mu(f)), which mirrors how no-blocking subsumes firm rationality.
+beats mu(f)), which mirrors how no-blocking subsumes firm rationality.  All
+T_f come from one pass over the workers, and f's list is scanned only down
+to the rank of mu(f): no per-worker ``choice`` or rank-helper calls.
 
 Enumeration walks the disjoint assignments of satisfactory sets depth first
 and prunes them with a forward version of the same test: a partial
 assignment in which some placed firm blocks every completion is not
 extended, and its pruned subtree spends no budget steps.  Every candidate
-that survives is still verified by check_stable_discrete.
+that survives is still verified by check_stable_discrete.  The prune works
+on bitmasks built once per enumeration: a bit per worker and, per option,
+the masks of the sets ranked above it; a firm blocks when one of them lies
+inside the mask of its pool.
 """
 
 from __future__ import annotations
@@ -67,6 +72,13 @@ class DynamicsTrace(NamedTuple):
     revisit: tuple[int, int] | None = None
 
 
+def _staff(mu: DiscreteMatching) -> dict[str, set[str]]:
+    staff: dict[str, set[str]] = {}
+    for w, f in mu.assignment.items():
+        staff.setdefault(f, set()).add(w)
+    return staff
+
+
 def is_individually_rational(
     m: DiscreteMarket, mu: DiscreteMatching
 ) -> list[IrViolation]:
@@ -74,17 +86,14 @@ def is_individually_rational(
     her firm acceptable, every firm's set must be its own choice."""
     out = []
     for w in sorted(m.workers):
-        f = mu.firm_of(w)
-        if f is not None and f not in m.acceptable_firms(w):
+        f = mu.assignment.get(w)
+        if f is not None and f not in m.worker_prefs.get(w, ()):
             out.append(IrViolation(agent=w, note=f"matched to unacceptable firm {f!r}"))
+    staff = _staff(mu)
     for f in sorted(m.firms):
-        staff = mu.workers_of(f)
-        if choice(m, f, staff) != staff:
-            out.append(
-                IrViolation(
-                    agent=f, note=f"{set_key(staff)} is not its own choice"
-                )
-            )
+        held = staff.get(f, frozenset())
+        if choice(m, f, held) != held:
+            out.append(IrViolation(agent=f, note=f"{set_key(held)} is not its own choice"))
     return out
 
 
@@ -94,15 +103,27 @@ def find_blocking_coalition(
     """The best block of the lowest-id blocking firm, or None.
 
     For each firm in id order, T_f collects the workers weakly preferring f
-    to their current match; the firm blocks iff Ch_f(T_f) beats mu(f).
+    to their current match; the firm blocks iff Ch_f(T_f) beats mu(f), that
+    is iff a set listed above mu(f) lies inside T_f (or mu(f) is unlisted).
     """
+    staff = _staff(mu)
+    t = {f: set(staff.get(f, ())) for f in m.firms}
+    for w in m.workers:
+        g = mu.assignment.get(w)
+        for f in m.worker_prefs.get(w, ()):
+            if f == g:
+                break
+            t[f].add(w)  # w ranks f above its current firm
     for f in sorted(m.firms):
-        t_f = frozenset(
-            w for w in m.workers if m.worker_weakly_prefers(w, f, mu.firm_of(w))
-        )
-        best = choice(m, f, t_f)
-        if m.firm_strictly_prefers(f, best, mu.workers_of(f)):
-            return BlockingCoalition(firm=f, workers=best)
+        held, t_f = staff.get(f), t[f]
+        for s in m.firm_prefs.get(f, ()):
+            if s == held:
+                break
+            if s <= t_f:
+                return BlockingCoalition(firm=f, workers=s)
+        else:
+            if held:  # an unlisted set ranks below the empty one
+                return BlockingCoalition(firm=f, workers=frozenset())
     return None
 
 
@@ -141,7 +162,7 @@ def enumerate_stable_matchings(
     for f in firms:
         opts = [(frozenset(), frozenset())]
         for s in satisfactory_sets(m, f):
-            if all(f in m.acceptable_firms(w) for w in s):
+            if all(f in m.worker_prefs.get(w, ()) for w in s):
                 opts.append((s, s))
         options.append(opts)
 
@@ -171,40 +192,48 @@ def _forward_blocking(m: DiscreteMarket, firms: list[str], options):
     and an unassigned one that ranks g above staying unmatched and above
     every firm it could still join (a later slot with an option containing
     it).  L_g lies inside T_g in every completion, and Ch_g picks the best
-    listed set inside its argument, so if Ch_g(L_g) beats g's set then g
-    blocks every completion.  No substitutability is assumed.
+    listed set inside its argument, so if one of the sets g ranks above its
+    own lies in L_g, g blocks every completion.  No substitutability is assumed.
     """
     workers = sorted(m.workers)
+    bit = {w: 1 << j for j, w in enumerate(workers)}
     rank = {w: {f: r for r, f in enumerate(m.worker_prefs.get(w, ()))} for w in workers}
-    # accept[k]: (worker, its rank of firms[k]) for the workers that list it.
-    accept = [[(w, rank[w][f]) for w in workers if f in rank[w]] for f in firms]
-    # open_rank[i][w]: the best rank w gives a firm at a slot after i that
-    # can hire it, or to staying unmatched.
-    open_rank = [None] * len(firms)
-    best = {w: len(rank[w]) for w in workers}
+    # accept[k]: (worker, bit, its rank of firms[k]) for the workers listing it.
+    accept = [[(w, bit[w], rank[w][f]) for w in workers if f in rank[w]] for f in firms]
+    # better[k][S]: the masks of the sets firms[k] ranks above its option S.
+    better = []
+    for f, opts in zip(firms, options):
+        prefs = m.firm_prefs.get(f, ())
+        masks = [sum(bit[w] for w in s) for s in prefs]
+        better.append({s: masks[: prefs.index(s)] if s else masks for _, s in opts})
+    # open_top[i][w]: the worst rank of a firm that an unassigned w prefers
+    # to staying unmatched and to every later slot that can hire it.
+    open_top = [None] * len(firms)
+    top = {w: len(rank[w]) - 1 for w in workers}
     for i in range(len(firms) - 1, -1, -1):
-        open_rank[i] = dict(best)
+        open_top[i] = dict(top)
         f = firms[i]
         for key, _ in options[i]:
             for w in key:
-                best[w] = min(best[w], rank[w][f])
+                top[w] = min(top[w], rank[w][f] - 1)
 
     def blocked(i: int, picked) -> bool:
-        held = {}  # assigned worker -> its rank of its firm
+        top = dict(open_top[i])
         for k in range(i + 1):
             f = firms[k]
             for w in picked[k]:
-                held[w] = rank[w][f]
-        bound = open_rank[i]
+                top[w] = rank[w][f]  # an assigned worker: its rank of its own firm
         for k in range(i + 1):
-            g = firms[k]
-            pool = [
-                w
-                for w, r in accept[k]
-                if (r <= held[w] if w in held else r < bound[w])
-            ]
-            if m.firm_strictly_prefers(g, choice(m, g, pool), picked[k]):
-                return True
+            above = better[k][picked[k]]
+            if not above:
+                continue
+            pool = 0
+            for w, b, r in accept[k]:
+                if r <= top[w]:
+                    pool |= b
+            for b in above:
+                if not b & ~pool:
+                    return True
         return False
 
     return blocked
@@ -230,6 +259,7 @@ def run_blocking_dynamics(
     first exact revisit of an earlier state, or when ``max_steps`` moves
     have been made and the state they reach is not stable.
     """
+    workers = sorted(m.workers)
     states = [start]
     moves: list[DynamicsMove] = []
     seen = {start.key(): 0}
@@ -238,9 +268,9 @@ def run_blocking_dynamics(
         quitter = next(
             (
                 w
-                for w in sorted(m.workers)
-                if current.firm_of(w) is not None
-                and current.firm_of(w) not in m.acceptable_firms(w)
+                for w in workers
+                if (f := current.assignment.get(w)) is not None
+                and f not in m.worker_prefs.get(w, ())
             ),
             None,
         )

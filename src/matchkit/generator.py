@@ -9,8 +9,10 @@ are reproducible bit-for-bit from (seed, params) on any platform:
     z <- (z xor (z >> 27)) * 0x94D049BB133111EB   (mod 2^64)
     output: z xor (z >> 31)
 
-Integer draws use rejection-free reduction (value mod range), which is
-deterministic; slight modulo bias is irrelevant for fuzzing.
+Integer draws reduce a draw modulo the range, without rejection: one 64-bit
+word, or ceil(bits/64) words for a range wider than 2^64.  The bias is
+negligible for a range far narrower than the draw, as in every corpus; near
+the draw's width the lowest values can be up to twice as likely.
 
 A value in [lo, hi] is drawn from a table of (d, n_lo, n_hi) triples, one
 per denominator d <= 8 with some n/d in range: a uniform row, then
@@ -63,7 +65,10 @@ class SplitMix64:
         """Uniform-ish integer in [lo, hi] inclusive."""
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
-        return lo + self.next_u64() % (hi - lo + 1)
+        n, x, reach = hi - lo + 1, self.next_u64(), 1 << 64
+        while reach < n:  # ceil(bits/64) words in all
+            x, reach = x << 64 | self.next_u64(), reach << 64
+        return lo + x % n
 
     def chance(self, p: float) -> bool:
         return self.next_u64() < int(p * 2.0**64)

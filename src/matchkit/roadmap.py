@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .hypergraph import BalanceVerdict, build_hypergraph, check_balanced
+from .hypergraph import BalanceVerdict, FirmWorkerHypergraph, build_hypergraph, check_balanced
 from .errors import InvalidMarketError
 from .model import (
     DEFAULT_BUDGET,
@@ -60,6 +60,7 @@ class Theorem3Report(NamedTuple):
     specialization: SpecializationResult
     balance: BalanceVerdict
     falsification: bool
+    hypergraph: FirmWorkerHypergraph | None = None  # balance.witness indexes it
 
     @property
     def all_hold(self) -> bool:
@@ -261,7 +262,8 @@ def theorem3_report(
         w for w in sorted(m.workers) if not is_specialist(r, w)
     )
     spec = check_specialized(m, r, budget)
-    balance = check_balanced(build_hypergraph(m), budget=budget)
+    h = build_hypergraph(m)
+    balance = check_balanced(h, budget=budget)
     falsification = (
         not non_specialists and spec.specialized and not balance.balanced
     )
@@ -271,4 +273,5 @@ def theorem3_report(
         specialization=spec,
         balance=balance,
         falsification=falsification,
+        hypergraph=h,
     )

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
 from pathlib import Path
@@ -14,13 +15,17 @@ from matchkit import (
     is_individually_rational,
     run_blocking_dynamics,
 )
+from matchkit.cli import main
+from matchkit.discrete_solver import BlockingCoalition, IrViolation
 from matchkit.errors import SizeGuardExceeded
 from matchkit.generator import GenParams, gen_discrete_market
-from matchkit.io import load_market
+from matchkit.io import load_market, serialize_market, write_json
 from matchkit.model import (
     _Budget,
+    choice,
     iter_disjoint_assignments,
     satisfactory_sets,
+    set_key,
 )
 
 from golden import complete_marriage_market
@@ -67,6 +72,98 @@ def exhaustive_stable_oracle(m: DiscreteMarket, limit=None):
     return found
 
 
+# The stability tests as they were before they ran on rank tables and worker
+# bitmasks: one ``choice`` call and the market's rank helpers per worker and
+# firm.  Kept verbatim as oracles for the differential tests below.
+
+
+def oracle_is_individually_rational(
+    m: DiscreteMarket, mu: DiscreteMatching
+) -> list[IrViolation]:
+    """Violation list (empty means rational): every matched worker must find
+    her firm acceptable, every firm's set must be its own choice."""
+    out = []
+    for w in sorted(m.workers):
+        f = mu.firm_of(w)
+        if f is not None and f not in m.acceptable_firms(w):
+            out.append(IrViolation(agent=w, note=f"matched to unacceptable firm {f!r}"))
+    for f in sorted(m.firms):
+        staff = mu.workers_of(f)
+        if choice(m, f, staff) != staff:
+            out.append(
+                IrViolation(
+                    agent=f, note=f"{set_key(staff)} is not its own choice"
+                )
+            )
+    return out
+
+
+def oracle_find_blocking_coalition(
+    m: DiscreteMarket, mu: DiscreteMatching
+) -> BlockingCoalition | None:
+    """The best block of the lowest-id blocking firm, or None.
+
+    For each firm in id order, T_f collects the workers weakly preferring f
+    to their current match; the firm blocks iff Ch_f(T_f) beats mu(f).
+    """
+    for f in sorted(m.firms):
+        t_f = frozenset(
+            w for w in m.workers if m.worker_weakly_prefers(w, f, mu.firm_of(w))
+        )
+        best = choice(m, f, t_f)
+        if m.firm_strictly_prefers(f, best, mu.workers_of(f)):
+            return BlockingCoalition(firm=f, workers=best)
+    return None
+
+
+def oracle_forward_blocking(m: DiscreteMarket, firms: list[str], options):
+    """The prune hook of the enumeration: true when a firm placed at a slot
+    up to i blocks every completion of the partial assignment.
+
+    For a placed firm g, L_g holds the workers sure to weakly prefer g to
+    their final match: an assigned worker that weakly prefers g to its firm,
+    and an unassigned one that ranks g above staying unmatched and above
+    every firm it could still join (a later slot with an option containing
+    it).  L_g lies inside T_g in every completion, and Ch_g picks the best
+    listed set inside its argument, so if Ch_g(L_g) beats g's set then g
+    blocks every completion.  No substitutability is assumed.
+    """
+    workers = sorted(m.workers)
+    rank = {w: {f: r for r, f in enumerate(m.worker_prefs.get(w, ()))} for w in workers}
+    # accept[k]: (worker, its rank of firms[k]) for the workers that list it.
+    accept = [[(w, rank[w][f]) for w in workers if f in rank[w]] for f in firms]
+    # open_rank[i][w]: the best rank w gives a firm at a slot after i that
+    # can hire it, or to staying unmatched.
+    open_rank = [None] * len(firms)
+    best = {w: len(rank[w]) for w in workers}
+    for i in range(len(firms) - 1, -1, -1):
+        open_rank[i] = dict(best)
+        f = firms[i]
+        for key, _ in options[i]:
+            for w in key:
+                best[w] = min(best[w], rank[w][f])
+
+    def blocked(i: int, picked) -> bool:
+        held = {}  # assigned worker -> its rank of its firm
+        for k in range(i + 1):
+            f = firms[k]
+            for w in picked[k]:
+                held[w] = rank[w][f]
+        bound = open_rank[i]
+        for k in range(i + 1):
+            g = firms[k]
+            pool = [
+                w
+                for w, r in accept[k]
+                if (r <= held[w] if w in held else r < bound[w])
+            ]
+            if m.firm_strictly_prefers(g, choice(m, g, pool), picked[k]):
+                return True
+        return False
+
+    return blocked
+
+
 DISCRETE_FIXTURES = (
     "appendixC_discrete.json",
     "example2_discrete.json",
@@ -85,6 +182,29 @@ def all_matchings(m: DiscreteMarket):
         yield DiscreteMatching(
             assignment={w: f for w, f in zip(workers, combo) if f is not None}
         )
+
+
+def probe_matchings(m: DiscreteMarket, most=500):
+    """The matchings the stability tests are compared on: every matching of
+    a small market; for a larger one, the disjoint assignments of listed
+    sets and, per firm, of its lowest unlisted singleton, thinned to at most
+    about ``most`` evenly spaced in DFS order.  Besides rational candidates
+    these include workers at firms they do not list and firms holding
+    unlisted or non-satisfactory sets."""
+    if (len(m.firms) + 1) ** len(m.workers) <= 10_000:
+        return list(all_matchings(m))
+    workers = sorted(m.workers)
+    options = []
+    for f in sorted(m.firms):
+        sets = m.firm_prefs.get(f, ())
+        unlisted = next((fs({w}) for w in workers if fs({w}) not in sets), None)
+        sets += (unlisted,) if unlisted else ()
+        options.append([(fs(), ())] + [(s, tuple((w, f) for w in s)) for s in sets])
+    picks = list(iter_disjoint_assignments(options, _Budget(10**7, "probe")))
+    return [
+        DiscreteMatching(assignment=chain.from_iterable(picked))
+        for picked in picks[:: -(-len(picks) // most)]
+    ]
 
 
 class TestIndividualRationality:
@@ -234,8 +354,7 @@ class TestForwardBlockingPrune:
             self.agree(gen_discrete_market(GenParams(seed=seed, **params)))
 
     def test_complete_marriage_markets(self):
-        for n_firms, n_workers in [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4),
-                                   (4, 4), (4, 5), (5, 5), (5, 6), (6, 6)]:
+        for n_firms, n_workers in MARRIAGE_SHAPES:
             for seed in range(2):
                 self.agree(complete_marriage_market(n_firms, n_workers, seed))
 
@@ -270,6 +389,100 @@ class TestForwardBlockingPrune:
                     assert [mu.workers_of(f) for f in firms[: len(prefix)]] != list(prefix)
             total += len(pruned)
         assert total > 0
+
+
+MARRIAGE_SHAPES = [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4),
+                   (4, 4), (4, 5), (5, 5), (5, 6), (6, 6)]
+
+
+class TestStabilityTestsAgainstOracles:
+    """The rank-table and bitmask stability tests against the per-worker
+    ``choice`` versions they replaced: the prune's verdict at every prefix
+    the enumeration visits, and the blocking search and rationality check
+    on every probe matching."""
+
+    @staticmethod
+    def agree(m, monkeypatch, kinds):
+        visits = 0
+
+        def spy(options, budget, prune):
+            oracle = oracle_forward_blocking(m, sorted(m.firms), options)
+
+            def both(i, picked):
+                nonlocal visits
+                visits += 1
+                hit = prune(i, picked)
+                assert hit == oracle(i, picked)
+                return hit
+
+            return iter_disjoint_assignments(options, budget, both)
+
+        monkeypatch.setattr(discrete_solver, "iter_disjoint_assignments", spy)
+        enumerate_stable_matchings(m)
+        for mu in probe_matchings(m):
+            ir = oracle_is_individually_rational(m, mu)
+            assert is_individually_rational(m, mu) == ir
+            assert find_blocking_coalition(m, mu) == oracle_find_blocking_coalition(m, mu)
+            for v in ir:
+                if v.agent in m.workers:
+                    kinds["worker at an unlisted firm"] += 1
+                elif mu.workers_of(v.agent) in m.firm_prefs[v.agent]:
+                    kinds["firm holding a non-satisfactory set"] += 1
+                else:
+                    kinds["firm holding an unlisted set"] += 1
+        return visits
+
+    def check(self, markets, monkeypatch):
+        kinds = Counter()
+        assert sum(self.agree(m, monkeypatch, kinds) for m in markets) > 0
+        return kinds
+
+    def test_fixtures(self, monkeypatch):
+        self.check([load_market(FIXTURES / name) for name in DISCRETE_FIXTURES], monkeypatch)
+
+    def test_complete_marriage_markets(self, monkeypatch):
+        markets = [
+            complete_marriage_market(n_firms, n_workers, seed)
+            for n_firms, n_workers in MARRIAGE_SHAPES
+            for seed in range(2)
+        ]
+        self.check(markets, monkeypatch)
+
+    @pytest.mark.parametrize("params", [SUITE_PARAMS, WIDE_PARAMS], ids=["suite", "wide"])
+    def test_generated_markets(self, params, monkeypatch):
+        markets = [gen_discrete_market(GenParams(seed=seed, **params)) for seed in range(200)]
+        assert len(self.check(markets, monkeypatch)) == 3
+
+
+# The least --budget under which ``solve-discrete --all`` answers (one step
+# per option the enumeration places).  A change to the enumeration that
+# keeps its search tree keeps these numbers.
+BUDGET_STEPS = {
+    "appendixC_discrete.json": 4,
+    "example2_discrete.json": 9,
+    "example3_discrete.json": 7,
+    "intro_discrete.json": 6,
+    "marriage.json": 7,
+    "profile13.json": 7,
+    "marriage-5x6": 43,
+    "marriage-5x7": 121,
+    "marriage-6x6": 187,
+}
+
+
+class TestBudgetSteps:
+    @pytest.mark.parametrize("name", list(BUDGET_STEPS))
+    def test_least_budget_that_answers(self, name, tmp_path, capsys):
+        if name.startswith("marriage-"):
+            shape = tuple(int(n) for n in name.removeprefix("marriage-").split("x"))
+            path = str(tmp_path / f"{name}.json")
+            write_json(path, serialize_market(complete_marriage_market(*shape, 0)))
+        else:
+            path = str(FIXTURES / name)
+        steps = BUDGET_STEPS[name]
+        assert main(["solve-discrete", path, "--all", "--budget", str(steps)]) in (0, 1)
+        assert main(["solve-discrete", path, "--all", "--budget", str(steps - 1)]) == 3
+        assert capsys.readouterr().err == "error: enumeration budget exhausted\n"
 
 
 class TestDynamics:

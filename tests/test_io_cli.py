@@ -348,6 +348,37 @@ class TestCmdRoadmap:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, witness",
+    [
+        (["analyze", fixture("intro_discrete.json")], ("prop1", "witness")),
+        (["roadmap", fixture("counter1_roadmap.json"), fixture("intro_discrete.json")],
+         ("witness",)),
+    ],
+    ids=["analyze", "roadmap"],
+)
+def test_one_hypergraph_per_command(monkeypatch, capsys, argv, witness):
+    # The verdicts carry the hypergraph their witness indexes into, so the
+    # report and the certificate do not build it again.
+    from matchkit import analysis, hypergraph, roadmap
+
+    built = []
+    build = hypergraph.build_hypergraph
+
+    def counted(m):
+        built.append(m)
+        return build(m)
+
+    for module in (hypergraph, analysis, roadmap):
+        monkeypatch.setattr(module, "build_hypergraph", counted)
+    main([*argv, "--format", "json"])
+    facts = json.loads(capsys.readouterr().out)["facts"]
+    for key in witness:
+        facts = facts[key]
+    assert facts["edge_members"]
+    assert len(built) == 1
+
+
 class TestCmdGen:
     def test_identical_bytes_across_runs(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -396,6 +427,39 @@ class TestCmdGen:
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
+
+    @pytest.fixture
+    def digit_limit(self):
+        """Set CPython's int-to-decimal digit limit for one test (0: none)."""
+        saved = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("bound", ["1e30", "1e5000"])
+    def test_wide_value_range_reaches_its_upper_half(self, tmp_path, digit_limit, bound):
+        # A range of more than 2^64 values takes ceil(bits/64) words per draw;
+        # one word would keep every value below 2^64 / d.
+        digit_limit(0)
+        out = tmp_path / "x.json"
+        assert main(["gen", "tu", "--seed", "0", "--value-max", bound, "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        values = [Fraction(e["value"]) for sets in data["firms"].values() for e in sets]
+        values += [Fraction(v) for vals in data["workers"].values() for v in vals.values()]
+        top = Fraction(bound)
+        assert all(0 <= v <= top for v in values)
+        assert max(values) > top / 2
+
+    def test_values_past_the_digit_limit_are_input_errors(self, tmp_path, capsys, digit_limit):
+        # At CPython's default limit a value near 10^5000 can be neither
+        # written nor read back as a decimal string.
+        digit_limit(4300)
+        out = tmp_path / "x.json"
+        argv = ["gen", "tu", "--seed", "0", "--value-max", "1e5000", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Exceeds the limit (4300 digits)")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 INVALID_TU = {
