@@ -31,15 +31,8 @@ import sys
 import time
 
 from . import analysis, discrete_solver, generator, hypergraph, io, roadmap, tu_solver
-from .errors import (
-    CertificateError,
-    InvalidMarketError,
-    MarketFormatError,
-    MatchkitError,
-    SizeGuardExceeded,
-    WorkBudgetExceeded,
-)
-from .model import DiscreteMarket, DiscreteMatching, TuMarket, tu_utilities
+from .errors import CertificateError, MarketFormatError, MatchkitError, WorkBudgetExceeded
+from .model import DiscreteMarket, DiscreteMatching, TuMarket
 # Not called here; kept as a module attribute that perfbench/tracing.py wraps.
 from .model import validate_market  # noqa: F401
 
@@ -163,10 +156,7 @@ def cmd_solve_tu(args) -> int:
     }
     if report.stable and args.emit in ("matching", "lp"):
         facts["matching"] = io.serialize_matching(report.matching)
-        facts["utilities"] = {
-            a: str(v)
-            for a, v in sorted(tu_utilities(market, report.matching).items())
-        }
+        facts["utilities"] = {a: str(v) for a, v in sorted(report.utilities.items())}
     if not report.stable or args.emit in ("certificate", "lp"):
         facts["certificate"] = _dual_facts(report.certificate)
     if args.emit == "lp":
@@ -324,8 +314,7 @@ def cmd_gen(args) -> int:
         if args.kind == "roadmap":
             io.write_json(args.roadmap_out, io.serialize_roadmap(rm))
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        raise MarketFormatError(str(e)) from e
     io.write_json(args.out, data)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -422,18 +411,15 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except WorkBudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (MarketFormatError, InvalidMarketError, SizeGuardExceeded) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except CertificateError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
     except MatchkitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        # CPython's advice on its int-to-decimal digit limit names a call
+        # that a command-line user cannot make.
+        advice = "use sys.set_int_max_str_digits() to increase the limit"
+        text = str(e).replace(advice, "set PYTHONINTMAXSTRDIGITS to raise it (0 lifts it)")
+        print(f"error: {text}", file=sys.stderr)
+        if isinstance(e, WorkBudgetExceeded):
+            return EXIT_BUDGET
+        return EXIT_INTERNAL if isinstance(e, CertificateError) else EXIT_INPUT
 
 
 def entry() -> None:

@@ -84,12 +84,15 @@ def is_individually_rational(
 ) -> list[IrViolation]:
     """Violation list (empty means rational): every matched worker must find
     her firm acceptable, every firm's set must be its own choice."""
+    return _ir_violations(m, mu, _staff(mu))
+
+
+def _ir_violations(m: DiscreteMarket, mu: DiscreteMatching, staff) -> list[IrViolation]:
     out = []
     for w in sorted(m.workers):
         f = mu.assignment.get(w)
         if f is not None and f not in m.worker_prefs.get(w, ()):
             out.append(IrViolation(agent=w, note=f"matched to unacceptable firm {f!r}"))
-    staff = _staff(mu)
     for f in sorted(m.firms):
         held = staff.get(f, frozenset())
         if choice(m, f, held) != held:
@@ -106,7 +109,10 @@ def find_blocking_coalition(
     to their current match; the firm blocks iff Ch_f(T_f) beats mu(f), that
     is iff a set listed above mu(f) lies inside T_f (or mu(f) is unlisted).
     """
-    staff = _staff(mu)
+    return _blocking_coalition(m, mu, _staff(mu))
+
+
+def _blocking_coalition(m: DiscreteMarket, mu: DiscreteMatching, staff):
     t = {f: set(staff.get(f, ())) for f in m.firms}
     for w in m.workers:
         g = mu.assignment.get(w)
@@ -130,8 +136,9 @@ def find_blocking_coalition(
 def check_stable_discrete(
     m: DiscreteMarket, mu: DiscreteMatching
 ) -> DiscreteStabilityVerdict:
-    ir = is_individually_rational(m, mu)
-    block = find_blocking_coalition(m, mu)
+    staff = _staff(mu)
+    ir = _ir_violations(m, mu, staff)
+    block = _blocking_coalition(m, mu, staff)
     return DiscreteStabilityVerdict(
         stable=not ir and block is None,
         ir_violations=tuple(ir),

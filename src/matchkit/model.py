@@ -93,9 +93,6 @@ class TuMarket(_TuMarketFields):
         """A_f in canonical order (sorted by member tuple)."""
         return tuple(sorted(self.firm_valuations.get(f, {}), key=set_key))
 
-    def acceptable_firms(self, w: str) -> frozenset[str]:
-        return frozenset(self.worker_valuations.get(w, {}))
-
     def firm_value(self, f: str, s: WorkerSet) -> Fraction:
         if not s:
             return Fraction(0)
@@ -140,9 +137,6 @@ class DiscreteMarket(_DiscreteMarketFields):
         """A_f in canonical order (sorted by member tuple)."""
         return tuple(sorted(set(self.firm_prefs.get(f, ())), key=set_key))
 
-    def acceptable_firms(self, w: str) -> frozenset[str]:
-        return frozenset(self.worker_prefs.get(w, ()))
-
     def set_rank(self, f: str, s: WorkerSet) -> int:
         """Rank of a worker set for firm f: list index, len for the empty
         set, len+1 for unlisted sets (all tied below empty)."""
@@ -154,27 +148,6 @@ class DiscreteMarket(_DiscreteMarketFields):
             return prefs.index(s)
         except ValueError:
             return len(prefs) + 1
-
-    def firm_strictly_prefers(self, f: str, s1: WorkerSet, s2: WorkerSet) -> bool:
-        return self.set_rank(f, s1) < self.set_rank(f, s2)
-
-    def firm_rank(self, w: str, f: str | None) -> int:
-        """Rank of a firm for worker w: list index, len for the null firm,
-        len+1 for unlisted firms."""
-        prefs = self.worker_prefs.get(w, ())
-        if f is None:
-            return len(prefs)
-        try:
-            return prefs.index(f)
-        except ValueError:
-            return len(prefs) + 1
-
-    def worker_weakly_prefers(self, w: str, f: str | None, g: str | None) -> bool:
-        """f is weakly better than g for w (ties between two unlisted firms
-        do not count as weak preference unless f == g)."""
-        if f == g:
-            return True
-        return self.firm_rank(w, f) < self.firm_rank(w, g)
 
 
 Market = TuMarket | DiscreteMarket

@@ -9,18 +9,20 @@ rule of Dantzig, Orden & Wolfe (1955) instead: ratio ties are broken on the
 rows of B^-1 (the slack columns), as if the i-th right-hand side were
 raised by eps^i.  The final basis is then optimal for that perturbed
 program, so its duals are the lexicographically least optimal dual point:
-least b.y, then least y_1, then y_2 and so on.  Every solve is certified
-before returning: primal feasibility, dual feasibility, and exact equality
-of the two objective values.
+least b.y, then least y_1, then y_2 and so on.  A solve is not certified:
+the caller certifies the pair of points it reports with ``certify`` (primal
+and dual feasibility, equal objective values), once.
 
 Inputs may be ``int`` or ``Fraction``; outputs are ``Fraction``.  Inside,
 each tableau row (and each reduced-cost row) is a list of ``int``
 numerators over one positive ``int`` row denominator, and pivots are
 fraction-free in the manner of Edmonds (1967) and Bareiss (1968): the row
-becomes  p*row - f*pivot_row  over  den*p  and is reduced by its gcd.  The
-rationals stored are exactly those of a ``Fraction`` tableau, so every
-pivot choice is the same.  ``certify`` likewise works on integer numerators
-over common denominators.
+becomes  p*row - f*pivot_row  over  den*p,  subtracting on the pivot row's
+nonzero columns only, and a row over a denominator above 1 is reduced by its
+gcd.  On a totally unimodular program every pivot is 1 and every
+denominator stays 1.  The rationals stored are exactly those of a
+``Fraction`` tableau, so every pivot choice is the same.  ``certify``
+likewise works on integer numerators over common denominators.
 """
 
 from __future__ import annotations
@@ -51,13 +53,15 @@ def _scaled(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _eliminate(row: list[int], den: int, f: int, prow: list[int], p: int):
+def _eliminate(row: list[int], den: int, f: int, prow: list[int], p: int, cols):
     """row/den - (f/den) * prow/p, reduced: ``prow`` over ``p`` is a pivot
-    row whose pivot entry is 1 (numerator ``p``) and ``f`` is ``row``'s
-    numerator in the pivot column.  A result as long as the shorter input."""
-    new = [p * a - f * b for a, b in zip(row, prow)]
+    row whose pivot entry is 1 (numerator ``p``), ``cols`` its nonzero
+    columns, and ``f`` is ``row``'s numerator in the pivot column."""
+    new = row[:] if p == 1 else [p * a for a in row]
+    for j in cols:
+        new[j] -= f * prow[j]
     den *= p
-    g = gcd(den, *new)
+    g = gcd(den, *new) if den > 1 else 1
     if g > 1:
         new = [v // g for v in new]
         den //= g
@@ -74,40 +78,48 @@ def simplex_max(
     from the slack basis, which is feasible only when every right-hand side
     is nonnegative (a ValueError otherwise).  With ``lex_duals`` the leaving
     rule is lexicographic, so ``duals`` is the lexicographically least
-    optimal dual point."""
+    optimal dual point.  ``value`` is c.x, read off the tableau and not
+    certified here."""
     m, n = len(rows), len(c)
     if any(b < 0 for b in rhs):
         raise ValueError("simplex_max needs a nonnegative right-hand side")
 
     # Tableau columns: n decision vars, m slacks, then the right-hand side.
-    # Row i holds the equation for basis[i]: numerators tab[i] over den[i].
+    # Row i < m holds the equation for basis[i]: numerators tab[i] over
+    # den[i], which starts as the least common denominator of the program.
+    # Row m holds the reduced costs, c itself in the slack basis (zero on
+    # slacks), and -c.x, which the slack basis starts at 0 and no pivot
+    # raises above 0, so its column never enters.
+    d = lcm(*(a.denominator for row in rows for a in row), *(b.denominator for b in rhs))
     tab: list[list[int]] = []
-    den: list[int] = []
-    for i in range(m):
-        nums, d = _scaled([*rows[i], rhs[i]])
-        row = nums[:n] + [0] * m + nums[n:]
-        row[n + i] = d
-        tab.append(row)
-        den.append(d)
+    for i, row in enumerate(rows):
+        new = [a.numerator * (d // a.denominator) for a in row] + [0] * m
+        new[n + i] = d
+        new.append(rhs[i].numerator * (d // rhs[i].denominator))
+        tab.append(new)
+    red, rd = _scaled(c)
+    tab.append(red + [0] * (m + 1))
+    den = [d] * m + [rd]
     basis = list(range(n, n + m))
 
     def pivot(r: int, col: int) -> None:
-        # The pivot row's new denominator is its pivot entry.  A row with a
-        # zero entry in the pivot column is unchanged: matchkit's programs
-        # are mostly zeros, so most rows are skipped.
+        # The pivot row's new denominator is its pivot entry.  Only rows with
+        # a nonzero entry in the pivot column change, and only in the pivot
+        # row's nonzero columns: matchkit's programs are mostly zeros.
         prow = tab[r]
         p = prow[col]
         if p < 0:
             prow = [-v for v in prow]
             p = -p
-        g = gcd(*prow)
+        g = gcd(*prow) if p > 1 else 1
         if g > 1:
             prow = [v // g for v in prow]
             p //= g
         tab[r], den[r] = prow, p
-        for i in range(m):
+        cols = [j for j, v in enumerate(prow) if v]
+        for i in range(m + 1):
             if i != r and tab[i][col]:
-                tab[i], den[i] = _eliminate(tab[i], den[i], tab[i][col], prow, p)
+                tab[i], den[i] = _eliminate(tab[i], den[i], tab[i][col], prow, p, cols)
         basis[r] = col
 
     def lex_first(i: int, a: int, leave: int, b: int) -> bool:
@@ -121,15 +133,12 @@ def simplex_max(
                 return u < v
         return False
 
-    # In the slack basis the reduced costs are c itself (zero on slacks).
     # Bland: entering = lowest-index column with positive reduced cost;
     # leaving = min ratio, ties by lowest basic-variable index or, with
     # lex_duals, lexicographically.  Row denominators cancel in a ratio, and
     # ratios are compared by cross-multiplying with positive denominators.
-    red, rd = _scaled(c)
-    red += [0] * m
     while True:
-        enter = next((j for j, r in enumerate(red) if r > 0), -1)
+        enter = next((j for j, r in enumerate(tab[m]) if r > 0), -1)
         if enter < 0:
             break
         leave = -1
@@ -151,15 +160,14 @@ def simplex_max(
         if leave < 0:
             raise LpInternalError("linear program is unbounded")
         pivot(leave, enter)
-        red, rd = _eliminate(red, rd, red[enter], tab[leave], den[leave])
+    red, rd = tab[m], den[m]
     duals = [Fraction(-red[n + i], rd) for i in range(m)]
 
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = Fraction(tab[i][-1], den[i])
-    value = certify(c, rows, rhs, x, duals)
-    return LpResult(value=value, x=x, duals=duals)
+    return LpResult(value=Fraction(-red[-1], rd), x=x, duals=duals)
 
 
 def certify(c, rows, b, x, duals) -> Fraction:

@@ -8,11 +8,12 @@ coalition constraints of the optimal partition.
 The coverage program is solved twice from the all-singletons basis: once
 under Bland's rule for the reported coalition weights, and once under the
 lexicographic leaving rule, whose duals are the lexicographically least
-optimal primal point, hence the reported prices.  The best partition comes
-from a dynamic program over (firm, used-worker bitmask) on the same
-coalitions and values: ``build_lp_problem`` builds them once per solve, and
-only ``check_stable_tu``, the independent re-check of a constructed
-matching, builds them again.
+optimal primal point, hence the reported prices; ``solve_lp`` certifies
+that pair, and only it, once.  The best partition comes from a dynamic
+program over (firm, used-worker bitmask) on the same coalitions and values:
+``build_lp_problem`` builds them once per solve, and only
+``check_stable_tu``, the independent re-check of a constructed matching,
+builds them again.  Both sum values as integers over one denominator.
 """
 
 from __future__ import annotations
@@ -31,15 +32,12 @@ from .model import (
     WorkerSet,
     _Budget,
     check_guard,
-    coalition_value,
     set_key,
-    tu_utilities,
     validate_tu_matching,
 )
 from .simplex import certify, simplex_max
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class TuLpProblem(NamedTuple):
@@ -75,6 +73,7 @@ class StabilityViolation(NamedTuple):
 class TuStabilityVerdict(NamedTuple):
     stable: bool
     violations: tuple[StabilityViolation, ...] = ()
+    utilities: dict[str, Fraction] | None = None  # once every partner is acceptable
 
 
 class TuStabilityReport(NamedTuple):
@@ -85,6 +84,7 @@ class TuStabilityReport(NamedTuple):
     certificate: DualSolution | None
     optimal_partition: dict[str, WorkerSet]
     lp_primal: dict[str, Fraction]
+    utilities: dict[str, Fraction] | None = None  # of a stable matching
 
 
 def agent_order(m: TuMarket) -> tuple[str, ...]:
@@ -110,8 +110,28 @@ def build_lp_problem(m: TuMarket) -> TuLpProblem:
         raise SizeGuardExceeded(
             f"{len(coalitions)} coalitions > guard {DEFAULT_GUARD.max_coalitions}"
         )
-    values = tuple(coalition_value(m, c) for c in coalitions)
+    nums, scale = _scaled_values(m, coalitions)
+    values = tuple(Fraction(v, scale) if v else ZERO for v in nums)
     return TuLpProblem(agents=agent_order(m), coalitions=coalitions, values=values)
+
+
+def _scaled_values(m: TuMarket, coalitions, *dens: int) -> tuple[list[int], int]:
+    """The values V(S) of coalitions in I u E as integers over ``scale``, a
+    common denominator of ``dens`` and the market's values; and ``scale``."""
+    fv, wv = m.firm_valuations, m.worker_valuations
+    scale = math.lcm(
+        *dens, *(v.denominator for d in (fv, wv) for vals in d.values() for v in vals.values())
+    )
+    out = [0] * len(coalitions)
+    for k, (f, s) in enumerate(coalitions):
+        if f is not None and s:
+            out[k] = _num(fv[f][s], scale) + sum(_num(wv[w][f], scale) for w in s)
+    return out, scale
+
+
+def _num(v: Fraction, scale: int) -> int:
+    """The numerator of ``v`` over ``scale``, a multiple of its denominator."""
+    return v.numerator * (scale // v.denominator)
 
 
 def max_partition_value(
@@ -176,40 +196,37 @@ def solve_lp(problem: TuLpProblem) -> tuple[dict[str, Fraction], DualSolution]:
     """Exact optimal primal point and dual weights with equal values.
 
     The dual (coverage) program is solved by simplex starting from the
-    all-singletons basis.  The primal point is the lexicographically least
-    optimal one in agent order, so that reported prices are reproducible
-    across optima; ``simplex.certify`` checks it against the coverage
-    weights.
+    all-singletons basis, under Bland's rule for the weights and under the
+    lexicographic rule for the primal point: the lexicographically least
+    optimal one in agent order, so that prices are reproducible across
+    optima.  ``simplex.certify`` checks that pair, once.
     """
     agents = problem.agents
     idx = {a: i for i, a in enumerate(agents)}
     firm_cols = problem.firm_coalitions()
-    n_rows = len(agents)
 
     rows = [[0] * len(firm_cols) for _ in agents]
     for j, (c, _) in enumerate(firm_cols):
         for a in c.members():
             rows[idx[a]][j] = 1
-    rhs = [1] * n_rows
+    rhs = [1] * len(agents)
     objective = [v for _, v in firm_cols]
-    result = simplex_max(objective, rows, rhs)
+    bland = simplex_max(objective, rows, rhs)
     x = _lex_min_primal(rows, objective)
-    certify(objective, rows, rhs, result.x, x)
+    if certify(objective, rows, rhs, bland.x, x) != bland.value:
+        raise CertificateError("certified LP value differs from the coverage solve's")
 
-    weights: dict[Coalition, Fraction] = {}
-    coverage = [ZERO] * n_rows
-    for j, (c, _) in enumerate(firm_cols):
-        if result.x[j] != 0:
-            weights[c] = result.x[j]
-            for a in c.members():
-                coverage[idx[a]] += result.x[j]
+    # Singletons take up each agent's slack, in integers over dw.
+    weights = {c: w for (c, _), w in zip(firm_cols, bland.x) if w}
+    dw = math.lcm(*(w.denominator for w in bland.x))
+    ws = [w.numerator * (dw // w.denominator) for w in bland.x]
     for c in problem.coalitions:
         if c.is_singleton:
             (a,) = c.members()
-            slack = ONE - coverage[idx[a]]
-            if slack != 0:
-                weights[c] = slack
-    dual = DualSolution(weights=weights, value=result.value)
+            slack = dw - sum(w for w, e in zip(ws, rows[idx[a]]) if e)
+            if slack:
+                weights[c] = Fraction(slack, dw)
+    dual = DualSolution(weights=weights, value=bland.value)
     return {a: x[i] for a, i in idx.items()}, dual
 
 
@@ -225,53 +242,65 @@ def _lex_min_primal(rows, objective):
 def check_stable_tu(m: TuMarket, mu: TuMatching) -> TuStabilityVerdict:
     """Individual rationality plus the transferable-utility no-blocking
     test: every potential coalition's members must jointly hold at least the
-    coalition's value."""
+    coalition's value, rebuilt from the market.  Both sides are integers over
+    one denominator.  Once every partner is acceptable, the verdict carries
+    the utilities (``model.tu_utilities``)."""
     problems = validate_tu_matching(m, mu)
     if problems:
         raise ValueError("; ".join(problems))
+    fv, wv = m.firm_valuations, m.worker_valuations
     violations: list[StabilityViolation] = []
     for w in sorted(m.workers):
         f = mu.firm_of(w)
-        if f is not None and f not in m.worker_valuations.get(w, {}):
+        if f is not None and f not in wv.get(w, {}):
             violations.append(
                 StabilityViolation(
                     kind="ir", agent=w, note=f"matched to unacceptable firm {f!r}"
                 )
             )
-    for f in sorted(m.firms):
-        staff = mu.workers_of(f)
-        if staff and staff not in m.firm_valuations.get(f, {}):
+    staff = {f: mu.workers_of(f) for f in sorted(m.firms)}
+    for f, s in staff.items():
+        if s and s not in fv.get(f, {}):
             violations.append(
                 StabilityViolation(
                     kind="ir",
                     agent=f,
-                    note=f"matched to unacceptable set {set_key(staff)}",
+                    note=f"matched to unacceptable set {set_key(s)}",
                 )
             )
     if violations:
         return TuStabilityVerdict(stable=False, violations=tuple(violations))
 
-    utilities = tu_utilities(m, mu)
-    for a in agent_order(m):
-        if utilities[a] < 0:
+    firm_coalitions = [c for c in potential_coalitions(m) if not c.is_singleton]
+    dens = (p.denominator for p in mu.prices.values())
+    values, scale = _scaled_values(m, firm_coalitions, *dens)
+    # Utilities in integers over scale; an unmatched worker's price is 0.
+    held = dict.fromkeys(m.workers, 0)
+    held.update((f, _num(fv[f][s], scale) if s else 0) for f, s in staff.items())
+    for w, f in mu.assignment.items():
+        wage = _num(mu.prices.get(w, ZERO), scale)
+        held[w] = _num(wv[w][f], scale) + wage
+        held[f] -= wage
+    agents = agent_order(m)
+    for a in agents:
+        if held[a] < 0:
+            deficit = Fraction(-held[a], scale)
+            violations.append(
+                StabilityViolation(kind="ir", agent=a, deficit=deficit, note="negative utility")
+            )
+    for c, value in zip(firm_coalitions, values):
+        have = held[c.firm] + sum(held[w] for w in c.workers)
+        if have < value:
             violations.append(
                 StabilityViolation(
-                    kind="ir",
-                    agent=a,
-                    deficit=-utilities[a],
-                    note="negative utility",
+                    kind="block", coalition=c, deficit=Fraction(value - have, scale)
                 )
             )
-    for c in potential_coalitions(m):
-        if c.is_singleton:
-            continue
-        held = sum((utilities[a] for a in c.members()), ZERO)
-        value = coalition_value(m, c)
-        if held < value:
-            violations.append(
-                StabilityViolation(kind="block", coalition=c, deficit=value - held)
-            )
-    return TuStabilityVerdict(stable=not violations, violations=tuple(violations))
+    return TuStabilityVerdict(
+        stable=not violations,
+        violations=tuple(violations),
+        utilities={a: Fraction(held[a], scale) for a in agents},
+    )
 
 
 def find_stable_matching_tu(
@@ -288,42 +317,30 @@ def find_stable_matching_tu(
     if vtilde < vbar:
         raise CertificateError("partition value exceeded the LP value")
 
+    report = TuStabilityReport(
+        lp_value=vtilde,
+        partition_value=vbar,
+        stable=False,
+        matching=None,
+        certificate=dual,
+        optimal_partition=partition,
+        lp_primal=x,
+    )
     if vtilde > vbar:
-        return TuStabilityReport(
-            lp_value=vtilde,
-            partition_value=vbar,
-            stable=False,
-            matching=None,
-            certificate=dual,
-            optimal_partition=partition,
-            lp_primal=x,
-        )
+        return report
 
+    # Each wage leaves its worker the LP payoff x[w].  The re-check's utilities
+    # must then be the LP payoffs of all agents, unmatched workers and firms too.
     assignment: dict[str, str] = {}
     prices: dict[str, Fraction] = {}
     for f, staff in partition.items():
         for w in staff:
             assignment[w] = f
             prices[w] = x[w] - m.worker_value(w, f)
-    for w in m.workers:
-        if w not in assignment and x[w] != 0:
-            raise CertificateError(f"unmatched worker {w!r} with positive LP value")
-    for f, staff in partition.items():
-        implied = m.firm_value(f, staff) - sum((prices[w] for w in staff), ZERO)
-        if implied != x[f]:
-            raise CertificateError(
-                f"firm {f!r} value inconsistent with binding coalition"
-            )
     matching = TuMatching(assignment=assignment, prices=prices)
     verdict = check_stable_tu(m, matching)
     if not verdict.stable:
         raise CertificateError(f"constructed matching unstable: {verdict.violations}")
-    return TuStabilityReport(
-        lp_value=vtilde,
-        partition_value=vbar,
-        stable=True,
-        matching=matching,
-        certificate=dual,
-        optimal_partition=partition,
-        lp_primal=x,
-    )
+    if verdict.utilities != x:
+        raise CertificateError("constructed payoffs differ from the LP primal point")
+    return report._replace(stable=True, matching=matching, utilities=verdict.utilities)

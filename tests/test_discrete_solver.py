@@ -50,6 +50,38 @@ WIDE_PARAMS = dict(
 )
 
 
+# The rank helpers the oracles below use.  The solver reads rank tables
+# instead, so these live with the tests.
+
+
+def acceptable_firms(m: DiscreteMarket, w: str) -> frozenset[str]:
+    return frozenset(m.worker_prefs.get(w, ()))
+
+
+def firm_strictly_prefers(m: DiscreteMarket, f: str, s1, s2) -> bool:
+    return m.set_rank(f, s1) < m.set_rank(f, s2)
+
+
+def firm_rank(m: DiscreteMarket, w: str, f: str | None) -> int:
+    """Rank of a firm for worker w: list index, len for the null firm,
+    len+1 for unlisted firms."""
+    prefs = m.worker_prefs.get(w, ())
+    if f is None:
+        return len(prefs)
+    try:
+        return prefs.index(f)
+    except ValueError:
+        return len(prefs) + 1
+
+
+def worker_weakly_prefers(m: DiscreteMarket, w: str, f: str | None, g: str | None) -> bool:
+    """f is weakly better than g for w (ties between two unlisted firms
+    do not count as weak preference unless f == g)."""
+    if f == g:
+        return True
+    return firm_rank(m, w, f) < firm_rank(m, w, g)
+
+
 def exhaustive_stable_oracle(m: DiscreteMarket, limit=None):
     """The unpruned enumeration: every disjoint assignment of satisfactory
     sets, in DFS order, each checked by check_stable_discrete."""
@@ -57,7 +89,7 @@ def exhaustive_stable_oracle(m: DiscreteMarket, limit=None):
     for f in sorted(m.firms):
         opts = [(fs(), ())]
         for s in satisfactory_sets(m, f):
-            if all(f in m.acceptable_firms(w) for w in s):
+            if all(f in acceptable_firms(m, w) for w in s):
                 opts.append((s, tuple((w, f) for w in s)))
         options.append(opts)
     found = []
@@ -73,8 +105,9 @@ def exhaustive_stable_oracle(m: DiscreteMarket, limit=None):
 
 
 # The stability tests as they were before they ran on rank tables and worker
-# bitmasks: one ``choice`` call and the market's rank helpers per worker and
-# firm.  Kept verbatim as oracles for the differential tests below.
+# bitmasks: one ``choice`` call and a rank helper per worker and firm.  Kept
+# as oracles for the differential tests below, verbatim except that the rank
+# helpers, once market methods, are the functions above.
 
 
 def oracle_is_individually_rational(
@@ -85,7 +118,7 @@ def oracle_is_individually_rational(
     out = []
     for w in sorted(m.workers):
         f = mu.firm_of(w)
-        if f is not None and f not in m.acceptable_firms(w):
+        if f is not None and f not in acceptable_firms(m, w):
             out.append(IrViolation(agent=w, note=f"matched to unacceptable firm {f!r}"))
     for f in sorted(m.firms):
         staff = mu.workers_of(f)
@@ -108,10 +141,10 @@ def oracle_find_blocking_coalition(
     """
     for f in sorted(m.firms):
         t_f = frozenset(
-            w for w in m.workers if m.worker_weakly_prefers(w, f, mu.firm_of(w))
+            w for w in m.workers if worker_weakly_prefers(m, w, f, mu.firm_of(w))
         )
         best = choice(m, f, t_f)
-        if m.firm_strictly_prefers(f, best, mu.workers_of(f)):
+        if firm_strictly_prefers(m, f, best, mu.workers_of(f)):
             return BlockingCoalition(firm=f, workers=best)
     return None
 
@@ -157,7 +190,7 @@ def oracle_forward_blocking(m: DiscreteMarket, firms: list[str], options):
                 for w, r in accept[k]
                 if (r <= held[w] if w in held else r < bound[w])
             ]
-            if m.firm_strictly_prefers(g, choice(m, g, pool), picked[k]):
+            if firm_strictly_prefers(m, g, choice(m, g, pool), picked[k]):
                 return True
         return False
 
@@ -253,11 +286,11 @@ class TestFindBlocking:
                 block = find_blocking_coalition(m, mu)
                 if block is None:
                     continue
-                assert m.firm_strictly_prefers(
-                    block.firm, block.workers, mu.workers_of(block.firm)
+                assert firm_strictly_prefers(
+                    m, block.firm, block.workers, mu.workers_of(block.firm)
                 )
                 for w in block.workers:
-                    assert m.worker_weakly_prefers(w, block.firm, mu.firm_of(w))
+                    assert worker_weakly_prefers(m, w, block.firm, mu.firm_of(w))
 
 
 class TestCheckStable:

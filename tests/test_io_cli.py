@@ -451,15 +451,27 @@ class TestCmdGen:
 
     def test_values_past_the_digit_limit_are_input_errors(self, tmp_path, capsys, digit_limit):
         # At CPython's default limit a value near 10^5000 can be neither
-        # written nor read back as a decimal string.
+        # written nor read back as a decimal string.  The message names the
+        # environment variable that lifts the limit, not the Python call.
         digit_limit(4300)
         out = tmp_path / "x.json"
         argv = ["gen", "tu", "--seed", "0", "--value-max", "1e5000", "--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: Exceeds the limit (4300 digits)")
-        assert err.count("\n") == 1
+        assert err == (
+            "error: Exceeds the limit (4300 digits) for integer string conversion; "
+            "set PYTHONINTMAXSTRDIGITS to raise it (0 lifts it)\n"
+        )
         assert not out.exists()
+        argv[5] = "1" + "0" * 5000
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --value-max: bad rational '1000")
+        assert err.endswith(
+            "(Exceeds the limit (4300 digits) for integer string conversion: value has "
+            "5001 digits; set PYTHONINTMAXSTRDIGITS to raise it (0 lifts it))\n"
+        )
+        assert "sys.set_int_max_str_digits" not in err
 
 
 INVALID_TU = {
