@@ -20,6 +20,15 @@ way.
 Each input file is read once, by ``io``, which records the SHA-256 of the
 bytes parsed in the report's ``inputs``.  ``--format json`` is written by
 ``io.to_json``, byte for byte what ``json.dumps(report, indent=2)`` gives.
+
+argparse is the one definition of the grammar.  ``build_parser`` also reads
+each subcommand's table off argparse's own actions (``_table``).  A command
+line whose every word is an exact option string, an option's value that does
+not start with ``-``, or a positional is read straight off that table
+(``_fast_args``), for the namespace ``parse_args`` would return.  Every other
+command line goes to ``parse_args``: help, abbreviations, ``--opt=value``,
+``--``, values that start with ``-``, and every error, so usage and error
+text are argparse's own.
 """
 
 from __future__ import annotations
@@ -378,7 +387,69 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--roadmap-out")
     p.add_argument("--market-kind", choices=("tu", "discrete"), default="discrete")
+    parser.command_tables = {
+        name: _table(choice, sub.dest, name) for name, choice in sub.choices.items()
+    }
     return parser
+
+
+def _table(p: argparse.ArgumentParser, dest: str, name: str):
+    """Subcommand ``name``'s positionals, options by exact string, required
+    options, exclusive groups and defaults, read off argparse's actions; None
+    if it has an action or group ``_fast_args`` does not read."""
+    if any(g.required for g in p._mutually_exclusive_groups):
+        return None
+    positionals, options, required, defaults = [], {}, set(), {dest: name}
+    kinds = (argparse._StoreAction, argparse._StoreTrueAction)
+    for a in p._actions:
+        if type(a) is argparse._HelpAction:
+            continue
+        if type(a) not in kinds or a.nargs not in (None, 0):
+            return None
+        options.update(dict.fromkeys(a.option_strings, a))
+        if not a.option_strings:
+            positionals.append(a)
+        elif a.required:
+            required.add(a)
+        # As in parse_args, a string default goes through ``type``.
+        convert = isinstance(a.default, str) and a.type
+        defaults[a.dest] = convert(a.default) if convert else a.default
+    groups = [set(g._group_actions) for g in p._mutually_exclusive_groups]
+    return positionals, options, required, groups, defaults
+
+
+def _fast_args(tables: dict, argv) -> argparse.Namespace | None:
+    """The namespace ``parse_args(argv)`` returns, if every word is an exact
+    option string, an option's value not starting with ``-``, or a
+    positional, and argparse would accept the line; else None."""
+    table = tables.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    positionals, options, required, groups, defaults = table
+    pending, words = iter(positionals), iter(argv[1:])
+    values, seen = dict(defaults), set()
+    for word in words:
+        action = options.get(word) if word[:1] == "-" else next(pending, None)
+        if action is None:
+            return None
+        seen.add(action)
+        if action.nargs == 0:  # store_true
+            values[action.dest] = action.const
+            continue
+        if action.option_strings:
+            word = next(words, "-")
+            if word[:1] == "-":
+                return None
+        try:
+            value = action.type(word) if action.type else word
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if next(pending, None) or not required <= seen or any(len(g & seen) > 1 for g in groups):
+        return None
+    return argparse.Namespace(**values)
 
 
 @functools.cache
@@ -387,7 +458,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args = _fast_args(parser.command_tables, argv) or parser.parse_args(argv)
     limits = {}
     if hasattr(args, "budget"):
         if args.budget is None:

@@ -2,7 +2,10 @@
 
 Market files carry a top-level ``kind`` ("tu" or "discrete").  Rationals
 are JSON integers or strings in any form ``Fraction(str)`` accepts: "6" and
-"-3/2", but also "1.5", "1e3" and " 7 ".  Worker sets are arrays,
+"-3/2", but also "1.5", "1e3" and " 7 ".  While CPython's int-to-decimal
+digit limit is on, an exponent larger than the limit in magnitude, or a
+numerator or denominator with more digits than the limit, is a
+``MarketFormatError``.  Worker sets are arrays,
 order-insensitive and deduplicated on parse.  Serialization is canonical
 (sorted keys, sorted set members, rationals as ``str(Fraction)``) so
 identical values produce identical bytes.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from fractions import Fraction
 
 from .errors import MarketFormatError, MatchkitError
@@ -28,6 +32,22 @@ from .model import (
     TuMatching,
 )
 from .roadmap import Roadmap
+
+
+# CPython's own wording, whose advice the CLI rewrites for its users.
+_PAST_LIMIT = (
+    "Exceeds the limit ({} digits) for integer string conversion{}; "
+    "use sys.set_int_max_str_digits() to increase the limit"
+)
+
+
+def _exponent(value: str) -> int:
+    """The exponent of ``value`` written as ``1.5e3``, or 0."""
+    _, e, exp = value.lower().rpartition("e")
+    try:
+        return int(exp) if e else 0
+    except ValueError:  # not an exponent: Fraction reports the bad literal
+        return 0
 
 
 def _rational(value, where: str) -> Fraction:
@@ -42,7 +62,19 @@ def _rational(value, where: str) -> Fraction:
                 n, d = int(digits), int(den or 1)
                 if d:
                     return Fraction(-n if num[0] == "-" else n, d)
-        return Fraction(value)
+        # Under CPython's int-to-decimal digit limit, a value that could not
+        # be written back is an input error, and an exponent past it is
+        # refused before Fraction computes 10**exponent.
+        limit = sys.get_int_max_str_digits()
+        exp = _exponent(value) if limit and isinstance(value, str) else 0
+        if abs(exp) > limit:
+            raise ValueError(_PAST_LIMIT.format(limit, f": exponent is {exp}"))
+        q = Fraction(value)
+        big = max(abs(q.numerator), q.denominator)
+        # More than ``limit`` digits take more than 3 * limit bits.
+        if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+            raise ValueError(_PAST_LIMIT.format(limit, ""))
+        return q
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise MarketFormatError(f"{where}: bad rational {value!r} ({e})")
 
@@ -262,7 +294,9 @@ def load_json(path: str | os.PathLike, inputs: dict | None = None):
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    # ValueError: JSONDecodeError, or an integer past the digit limit;
+    # RecursionError: arrays or objects nested too deep.
+    except (ValueError, RecursionError) as e:
         raise MarketFormatError(f"{path}: invalid JSON ({e})")
 
 

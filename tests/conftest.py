@@ -1,10 +1,21 @@
-"""Shared fixtures: the worked-example markets used across the suite."""
+"""Shared fixtures: the worked-example markets used across the suite, and
+CPython's int-to-decimal digit limit."""
+
+import sys
 
 import pytest
 
 from matchkit import DiscreteMarket, Roadmap, TuMarket
 
 fs = frozenset
+
+
+@pytest.fixture
+def digit_limit():
+    """Set CPython's int-to-decimal digit limit for one test (0: none)."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
 
 
 @pytest.fixture

@@ -428,13 +428,6 @@ class TestCmdGen:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
 
-    @pytest.fixture
-    def digit_limit(self):
-        """Set CPython's int-to-decimal digit limit for one test (0: none)."""
-        saved = sys.get_int_max_str_digits()
-        yield sys.set_int_max_str_digits
-        sys.set_int_max_str_digits(saved)
-
     @pytest.mark.parametrize("bound", ["1e30", "1e5000"])
     def test_wide_value_range_reaches_its_upper_half(self, tmp_path, digit_limit, bound):
         # A range of more than 2^64 values takes ceil(bits/64) words per draw;
@@ -459,8 +452,9 @@ class TestCmdGen:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == (
-            "error: Exceeds the limit (4300 digits) for integer string conversion; "
-            "set PYTHONINTMAXSTRDIGITS to raise it (0 lifts it)\n"
+            "error: --value-max: bad rational '1e5000' (Exceeds the limit (4300 digits) "
+            "for integer string conversion: exponent is 5000; "
+            "set PYTHONINTMAXSTRDIGITS to raise it (0 lifts it))\n"
         )
         assert not out.exists()
         argv[5] = "1" + "0" * 5000

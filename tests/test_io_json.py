@@ -230,3 +230,61 @@ class TestNewlinesAndBadBytes:
         path = tmp_path / "absent.json"
         assert main(["balance", str(path)]) == 2
         assert capsys.readouterr() == ("", _text_mode_stderr(path))
+
+
+# -- inputs past Python's own limits ------------------------------------------
+
+LIMIT_ADVICE = "set PYTHONINTMAXSTRDIGITS to raise it (0 lifts it)"
+
+
+class TestPastPythonLimits:
+    def test_nesting_too_deep_is_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        assert main(["balance", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}: invalid JSON (maximum recursion depth exceeded")
+
+    def test_integer_past_the_digit_limit_is_invalid_json(self, tmp_path, capsys, digit_limit):
+        digit_limit(4300)
+        path = tmp_path / "long.json"
+        path.write_text('{"kind": "tu", "n": ' + "1" * 5000 + "}", encoding="utf-8")
+        assert main(["balance", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {path}: invalid JSON (Exceeds the limit (4300 digits) for integer "
+            f"string conversion: value has 5000 digits; {LIMIT_ADVICE})\n"
+        ))
+
+    @pytest.mark.parametrize(
+        "value, detail",
+        [
+            # Fraction would compute 10**999999999 before anything else ran.
+            ("1e999999999", ": exponent is 999999999"),
+            ("-1e-5000", ": exponent is -5000"),
+            # Loaded before, then str() of the value failed in solve-tu.
+            ("1.5e4300", ""),
+            ("9" * 4300 + "e1", ""),
+        ],
+    )
+    def test_rational_past_the_digit_limit_is_an_input_error(
+        self, value, detail, tmp_path, capsys, digit_limit
+    ):
+        digit_limit(4300)
+        path = tmp_path / "market.json"
+        market = {
+            "kind": "tu",
+            "firms": {"f": [{"set": ["w"], "value": value}]},
+            "workers": {"w": {"f": "0"}},
+        }
+        path.write_text(json.dumps(market), encoding="utf-8")
+        for command in ("balance", "solve-tu"):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr() == ("", (
+                f"error: firm f value: bad rational {value!r} (Exceeds the limit (4300 "
+                f"digits) for integer string conversion{detail}; {LIMIT_ADVICE})\n"
+            ))
+
+    def test_rational_within_the_digit_limit_loads(self, digit_limit):
+        digit_limit(4300)
+        assert _rational("1.5e4299", "where") == Fraction(15) * 10**4298
