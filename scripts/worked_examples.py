@@ -1,97 +1,45 @@
 #!/usr/bin/env python3
 """Walk through the bundled worked examples end to end.
 
-Runs the solver/analysis pipeline over every fixture under tests/fixtures
-and prints the headline facts for each: balancedness, LP vs partition
-values, stable matchings, demand types, and the roadmap report.
+Runs the CLI over every fixture under tests/fixtures, printing each
+``matchkit`` command and its human-readable report: balancedness, LP vs
+partition values, stable matchings, demand types, and the roadmap report.
+Exits 1 if any command fails with an error (exit code 2 or more).
 """
 
+import os
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from matchkit import (  # noqa: E402
-    DiscreteMarket,
-    TuMarket,
-    build_hypergraph,
-    check_balanced,
-    demand_type,
-    enumerate_stable_matchings,
-    find_stable_matching_tu,
-    is_totally_unimodular,
-    prop1_check,
-    theorem3_report,
-    tu_cycle_certificate,
+from matchkit import cli  # noqa: E402
+
+MARKETS = (
+    "intro_tu.json",
+    "intro_discrete.json",
+    "example1_tu.json",
+    "example2_discrete.json",
+    "example3_discrete.json",
+    "marriage.json",
+    "appendixC_tu.json",
+    "appendixC_discrete.json",
 )
-from matchkit.io import load_market, load_roadmap  # noqa: E402
-
-FIXTURES = ROOT / "tests" / "fixtures"
-
-
-def show_market(path: Path) -> None:
-    market = load_market(path)
-    h = build_hypergraph(market)
-    verdict = check_balanced(h)
-    print(f"\n== {path.name} ({market.kind}, {len(h.edges)} edges)")
-    if verdict.balanced:
-        print("  hypergraph: balanced")
-    else:
-        cycle = verdict.witness
-        print(f"  hypergraph: unbalanced, witness length {len(cycle)}: "
-              + " ".join(h.edge_label(i) for i in cycle.edges))
-    if isinstance(market, TuMarket):
-        rep = find_stable_matching_tu(market)
-        print(f"  LP value {rep.lp_value} vs best partition {rep.partition_value}")
-        if rep.stable:
-            prices = {w: str(p) for w, p in sorted(rep.matching.prices.items())}
-            print(f"  stable: {dict(sorted(rep.matching.assignment.items()))} prices {prices}")
-        else:
-            print("  no stable matching; fractional cover certificate:")
-            for c, w in sorted(rep.certificate.weights.items(),
-                               key=lambda kv: sorted(kv[0].members())):
-                print(f"    weight {w} on {c.label()}")
-    if isinstance(market, DiscreteMarket):
-        found = enumerate_stable_matchings(market)
-        print(f"  stable matchings: {len(found)}")
-        for mu in found:
-            print(f"    {dict(sorted(mu.assignment.items()))}")
-        p1 = prop1_check(market)
-        print(f"  pairwise-choice condition excludes all odd cycles: {p1.guaranteed}")
-        dt = demand_type(market)
-        tu = is_totally_unimodular(dt.matrix())
-        print(f"  demand type {sorted(dt.union)} -> totally unimodular: {tu.totally_unimodular}")
-        if p1.witness is not None:
-            cert = tu_cycle_certificate(market, p1.witness)
-            print(f"  certificate rows {cert.rows}: {[list(r) for r in cert.entries]}")
-
-
-def show_roadmap() -> None:
-    rm = load_roadmap(FIXTURES / "example4_roadmap.json")
-    market = load_market(FIXTURES / "profile13.json")
-    rep = theorem3_report(market, rm)
-    print("\n== example4_roadmap.json + profile13.json")
-    print(f"  all specialists: {rep.all_specialists}")
-    paths = {f: list(p.vertices) for f, p in rep.specialization.firm_paths.items()}
-    print(f"  specialized with paths: {paths}")
-    print(f"  hypergraph balanced: {rep.balance.balanced}")
 
 
 def main() -> int:
-    for name in (
-        "intro_tu.json",
-        "intro_discrete.json",
-        "example1_tu.json",
-        "example2_discrete.json",
-        "example3_discrete.json",
-        "marriage.json",
-        "appendixC_tu.json",
-        "appendixC_discrete.json",
-    ):
-        show_market(FIXTURES / name)
-    show_roadmap()
-    return 0
+    os.chdir(ROOT)  # relative paths keep the reports' input names short
+    runs = []
+    for name in MARKETS:
+        solve = ["solve-tu"] if "_tu" in name else ["solve-discrete", "analyze"]
+        runs += [[c, f"tests/fixtures/{name}"] for c in ["balance", *solve]]
+    runs.append(["roadmap", "tests/fixtures/example4_roadmap.json", "tests/fixtures/profile13.json"])
+    worst = 0
+    for argv in runs:
+        print(f"\n$ matchkit {' '.join(argv)}", flush=True)
+        worst = max(worst, cli.main(argv))
+    return 1 if worst >= 2 else 0
 
 
 if __name__ == "__main__":

@@ -62,15 +62,13 @@ def _render_human(obj, indent: int = 0) -> list[str]:
                 lines.extend(_render_human(v, indent + 1))
             else:
                 lines.append(f"{pad}{k}: {_scalar(v)}")
-    elif isinstance(obj, list):
+    else:
         for item in obj:
             if isinstance(item, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.extend(_render_human(item, indent + 1))
             else:
                 lines.append(f"{pad}- {_scalar(item)}")
-    else:
-        lines.append(f"{pad}{_scalar(obj)}")
     return lines
 
 

@@ -33,15 +33,15 @@ from .model import DEFAULT_GUARD, DiscreteMarket, TuMarket, WorkerSet
 from .roadmap import Roadmap, TechnologyPath, technology_paths
 
 MASK64 = (1 << 64) - 1
+MAX_DEN = 8  # largest denominator of a drawn value
+MAX_ATTEMPTS = 200  # path draws per roadmap firm before giving up
 
 
 @functools.lru_cache(maxsize=64)
-def _denominators(
-    lo: Fraction, hi: Fraction, max_den: int
-) -> tuple[tuple[int, int, int], ...]:
-    """(d, n_lo, n_hi) for each denominator d <= max_den for which [lo, hi]
+def _denominators(lo: Fraction, hi: Fraction) -> tuple[tuple[int, int, int], ...]:
+    """(d, n_lo, n_hi) for each denominator d <= MAX_DEN for which [lo, hi]
     holds some n/d: exactly the n in [n_lo, n_hi]."""
-    bounds = ((d, math.ceil(lo * d), math.floor(hi * d)) for d in range(1, max_den + 1))
+    bounds = ((d, math.ceil(lo * d), math.floor(hi * d)) for d in range(1, MAX_DEN + 1))
     return tuple(row for row in bounds if row[1] <= row[2])
 
 
@@ -88,10 +88,10 @@ class SplitMix64:
             j = self.randint(0, i)
             items[i], items[j] = items[j], items[i]
 
-    def fraction(self, lo: Fraction, hi: Fraction, max_den: int = 8) -> Fraction:
-        table = _denominators(lo, hi, max_den)
+    def fraction(self, lo: Fraction, hi: Fraction) -> Fraction:
+        table = _denominators(lo, hi)
         if not table:
-            raise ValueError(f"no rational with denominator <= {max_den} in [{lo}, {hi}]")
+            raise ValueError(f"no rational with denominator <= {MAX_DEN} in [{lo}, {hi}]")
         return _value(self, table)
 
 
@@ -134,8 +134,8 @@ def validate_params(p: GenParams) -> None:
     lo, hi = p.value_range
     if hi < lo:
         raise ValueError("empty value range")
-    if not _denominators(lo, hi, 8):
-        raise ValueError("value range contains no rational with denominator <= 8")
+    if not _denominators(lo, hi):
+        raise ValueError(f"value range contains no rational with denominator <= {MAX_DEN}")
 
 
 def _names(prefix: str, count: int) -> list[str]:
@@ -170,7 +170,7 @@ def _market(
     with probability ``p.acceptability_density``, likewise valued or ranked."""
     density = p.acceptability_density
     if kind == "tu":
-        table = _denominators(*p.value_range, 8)
+        table = _denominators(*p.value_range)
         firm_valuations = {f: {s: _value(rng, table) for s in sets_for(f)} for f in firms}
         worker_valuations = {
             w: {f: _value(rng, table) for f in firms if rng.chance(density)}
@@ -225,7 +225,7 @@ def gen_discrete_market(p: GenParams) -> DiscreteMarket:
 
 
 def gen_roadmap_instance(
-    p: GenParams, kind: str = "discrete", max_attempts: int = 200
+    p: GenParams, kind: str = "discrete"
 ) -> tuple[Roadmap, DiscreteMarket | TuMarket]:
     """Random directed tree, specialist workers (each engages along one
     random technology path), and vertex-disjoint firm paths with acceptable
@@ -272,7 +272,7 @@ def gen_roadmap_instance(
     for f in firms:
         # When every path meets ``used``, no retry can succeed: skip them.
         feasible = any(used.isdisjoint(vs) for vs in path_vertices)
-        for _ in range(max_attempts if feasible else 0):
+        for _ in range(MAX_ATTEMPTS if feasible else 0):
             i = rng.randint(0, len(paths) - 1)
             if used.isdisjoint(path_vertices[i]):
                 firm_paths[f] = paths[i]

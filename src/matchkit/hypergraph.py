@@ -142,14 +142,14 @@ def _reflect(c: HyperCycle) -> tuple[tuple[str, ...], tuple[int, ...]]:
     return verts, edges
 
 
-def _iter_cycles(
+def iter_cycles(
     h: FirmWorkerHypergraph,
-    odd_only: bool,
-    nontrivial_only: bool,
-    max_len: int,
-    budget: _Budget,
+    odd_only: bool = False,
+    nontrivial_only: bool = False,
+    budget: int = DEFAULT_BUDGET,
 ):
-    """Yield cycles in DFS order (deduplicated via canonical form).
+    """Lazily yield cycles (canonical forms, deduplicated) in DFS order;
+    callers that stop early only pay for the search up to that point.
 
     Each search path starts at its least vertex, so a cycle is discovered
     from exactly one starting vertex (once per direction).  In nontrivial
@@ -162,6 +162,7 @@ def _iter_cycles(
         # per edge that graph joins firms to workers only: it is bipartite
         # and has no odd cycle (assignment games, marriage markets).
         return
+    steps = _Budget(budget, "cycle search")
     members = [h.edge_members(i) for i in range(len(h.edges))]
     members_sorted = [sorted(ms) for ms in members]
     by_vertex: dict[str, list[int]] = {v: [] for v in sorted(h.vertices)}
@@ -176,7 +177,7 @@ def _iter_cycles(
         for e in by_vertex[cur]:
             if e in used_e:
                 continue
-            budget.spend()
+            steps.spend()
             overlap = len(members[e] & used_v)
             # Close the cycle back to the start vertex.
             if len(path_v) >= 2 and start in members[e]:
@@ -190,8 +191,6 @@ def _iter_cycles(
                         if canon not in seen:
                             seen.add(canon)
                             yield canon
-            if len(path_v) >= max_len:
-                continue
             if nontrivial_only and overlap > 1:
                 # e already meets two path vertices; a third is inevitable
                 # if we extend through it.
@@ -215,37 +214,15 @@ def _iter_cycles(
         yield from extend(start, [start], [], {start}, set())
 
 
-def iter_cycles(
-    h: FirmWorkerHypergraph,
-    odd_only: bool = False,
-    nontrivial_only: bool = False,
-    max_len: int | None = None,
-    budget: int = DEFAULT_BUDGET,
-):
-    """Lazily yield cycles (canonical forms, deduplicated) in DFS order;
-    callers that stop early only pay for the search up to that point."""
-    if max_len is None:
-        max_len = len(h.vertices)
-    return _iter_cycles(
-        h, odd_only, nontrivial_only, max_len, _Budget(budget, "cycle search")
-    )
-
-
 def enumerate_cycles(
     h: FirmWorkerHypergraph,
     odd_only: bool = False,
     nontrivial_only: bool = False,
-    max_len: int | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[HyperCycle]:
-    """All cycles up to rotation/reflection equivalence with length at most
-    max_len (default: the vertex count), sorted by canonical form."""
-    if max_len is None:
-        max_len = len(h.vertices)
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
-    found = list(iter_cycles(h, odd_only, nontrivial_only, max_len, budget))
-    return sorted(found)
+    """All cycles up to rotation/reflection equivalence, sorted by canonical
+    form."""
+    return sorted(iter_cycles(h, odd_only, nontrivial_only, budget))
 
 
 def check_balanced(

@@ -113,12 +113,6 @@ def validate_roadmap(r: Roadmap, market: Market | None = None) -> list[str]:
     return problems
 
 
-def require_valid_roadmap(r: Roadmap, market: Market | None = None) -> None:
-    problems = validate_roadmap(r, market)
-    if problems:
-        raise InvalidMarketError("; ".join(problems))
-
-
 def _is_connected(vertices, edges) -> bool:
     """True iff the undirected graph on the non-empty vertex set is connected."""
     neighbors: dict[str, set[str]] = {v: set() for v in vertices}
@@ -201,7 +195,9 @@ def _covering_paths(m: Market, r: Roadmap) -> dict[str, list[TechnologyPath]]:
     acceptable sets (in id order) the technology paths whose demanded sets
     include all of them.  Firms with no acceptable sets constrain nothing
     and are left out."""
-    require_valid_roadmap(r, m)
+    problems = validate_roadmap(r, m)
+    if problems:
+        raise InvalidMarketError("; ".join(problems))
     paths = technology_paths(r)
     covering = {}
     for f in sorted(m.firms):

@@ -105,12 +105,10 @@ def simplex_max(
     def pivot(r: int, col: int) -> None:
         # The pivot row's new denominator is its pivot entry.  Only rows with
         # a nonzero entry in the pivot column change, and only in the pivot
-        # row's nonzero columns: matchkit's programs are mostly zeros.
+        # row's nonzero columns: matchkit's programs are mostly zeros.  The
+        # leaving rule only picks a positive pivot entry.
         prow = tab[r]
         p = prow[col]
-        if p < 0:
-            prow = [-v for v in prow]
-            p = -p
         g = gcd(*prow) if p > 1 else 1
         if g > 1:
             prow = [v // g for v in prow]

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import CertificateError, SizeGuardExceeded
+from .errors import CertificateError, InvalidMarketError, SizeGuardExceeded
 from .model import (
     Coalition,
     DEFAULT_BUDGET,
@@ -35,7 +35,7 @@ from .model import (
     set_key,
     validate_tu_matching,
 )
-from .simplex import certify, simplex_max
+from .simplex import _scaled, certify, simplex_max
 
 ZERO = Fraction(0)
 
@@ -144,19 +144,17 @@ def max_partition_value(
     (state, option) pair evaluated spends one budget step."""
     # Totals are summed as integers over a common denominator: exact, and
     # much cheaper than adding Fractions.
-    scale = math.lcm(*(v.denominator for v in problem.values))
+    nums, scale = _scaled(problem.values)
     # Which bit stands for which worker changes neither the totals nor the
     # number of states, so bits go out in the order workers are first seen.
     bit: dict[str, int] = {}
     # Firms come in the order of their singletons, which list first and
     # stand for the empty set.
     options: dict[str, list] = {}
-    for c, v in zip(problem.coalitions, problem.values):
+    for c, v in zip(problem.coalitions, nums):
         if c.firm is not None:
             mask = sum(bit.setdefault(w, 1 << len(bit)) for w in c.workers)
-            options.setdefault(c.firm, []).append(
-                (c.workers, mask, v.numerator * (scale // v.denominator))
-            )
+            options.setdefault(c.firm, []).append((c.workers, mask, v))
     slots = list(options.values())
     memo: list[dict[int, int]] = [{} for _ in slots]
     steps = _Budget(budget, "partition search")
@@ -218,8 +216,7 @@ def solve_lp(problem: TuLpProblem) -> tuple[dict[str, Fraction], DualSolution]:
 
     # Singletons take up each agent's slack, in integers over dw.
     weights = {c: w for (c, _), w in zip(firm_cols, bland.x) if w}
-    dw = math.lcm(*(w.denominator for w in bland.x))
-    ws = [w.numerator * (dw // w.denominator) for w in bland.x]
+    ws, dw = _scaled(bland.x)
     for c in problem.coalitions:
         if c.is_singleton:
             (a,) = c.members()
@@ -247,7 +244,7 @@ def check_stable_tu(m: TuMarket, mu: TuMatching) -> TuStabilityVerdict:
     the utilities (``model.tu_utilities``)."""
     problems = validate_tu_matching(m, mu)
     if problems:
-        raise ValueError("; ".join(problems))
+        raise InvalidMarketError("; ".join(problems))
     fv, wv = m.firm_valuations, m.worker_valuations
     violations: list[StabilityViolation] = []
     for w in sorted(m.workers):

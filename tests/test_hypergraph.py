@@ -181,6 +181,13 @@ class TestEnumerateCycles:
         with pytest.raises(WorkBudgetExceeded):
             enumerate_cycles(h, budget=2)
 
+    @pytest.mark.parametrize("firms", [set(), {"f1"}])
+    def test_fewer_than_two_vertices(self, firms):
+        m = TuMarket(firms=firms, workers=set(), firm_valuations={}, worker_valuations={})
+        h = build_hypergraph(m)
+        assert enumerate_cycles(h) == []
+        assert enumerate_cycles(h, odd_only=True, nontrivial_only=True) == []
+
 
 class TestCheckBalanced:
     def test_example1_balanced(self, example1_tu):

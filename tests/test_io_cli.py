@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,62 @@ class TestFormatErrors:
         with pytest.raises(MarketFormatError, match='"edges" must be an array'):
             parse_roadmap({"technologies": {"v1": ["w1"]}, "edges": edges})
 
+    @pytest.mark.parametrize(
+        "parse,data,message,argv",
+        [
+            (
+                parse_market,
+                {"kind": "tu", "firms": {"f": {}}, "workers": {}},
+                "firm f: expected an array of valuations",
+                ["balance", "FILE"],
+            ),
+            (
+                parse_market,
+                {"kind": "discrete", "firms": {"f": "w"}, "workers": {}},
+                "firm f: expected an array of worker sets",
+                ["balance", "FILE"],
+            ),
+            (
+                parse_market,
+                {"kind": "tu", "firms": {}, "workers": {"w": ["f"]}},
+                "worker w: expected an object firm->value",
+                ["solve-tu", "FILE"],
+            ),
+            (
+                lambda data: parse_matching(data, "discrete"),
+                {"assignment": ["w1", "f1"]},
+                'matching file needs an "assignment" object',
+                ["solve-discrete", fixture("intro_discrete.json"), "--dynamics", "--start", "FILE"],
+            ),
+            (
+                lambda data: parse_matching(data, "discrete"),
+                {"assignment": {"w1": 1}},
+                "assignment for w1 must name a firm",
+                ["solve-discrete", fixture("intro_discrete.json"), "--dynamics", "--start", "FILE"],
+            ),
+            (
+                parse_roadmap,
+                {"edges": []},
+                'roadmap file needs a "technologies" object',
+                ["roadmap", "FILE", fixture("profile13.json")],
+            ),
+            (
+                parse_roadmap,
+                {"technologies": {"v1": ["w1"], "v2": ["w1"]}, "edges": [["v1", "v2", "v1"]]},
+                "edge ['v1', 'v2', 'v1'] must have exactly two endpoints",
+                ["roadmap", "FILE", fixture("profile13.json")],
+            ),
+        ],
+    )
+    def test_messages_and_exit_2(self, parse, data, message, argv, tmp_path, capsys):
+        with pytest.raises(MarketFormatError) as e:
+            parse(data)
+        assert str(e.value) == message
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestCmdBalance:
     def test_intro_discrete_unbalanced(self, capsys):
@@ -219,6 +276,23 @@ class TestCmdSolveTu:
     def test_discrete_file_rejected(self):
         assert main(["solve-tu", fixture("intro_discrete.json")]) == 2
 
+    def test_coalition_guard(self, tmp_path, capsys):
+        # One firm accepting every nonempty set of 12 workers: 4,095 firm
+        # coalitions and 13 singletons, past the guard of 4,096.
+        workers = [f"w{j}" for j in range(12)]
+        market = TuMarket(
+            firms={"f"},
+            workers=set(workers),
+            firm_valuations={
+                "f": {frozenset(s): 1 for k in range(1, 13) for s in combinations(workers, k)}
+            },
+            worker_valuations={w: {"f": 0} for w in workers},
+        )
+        path = tmp_path / "all_subsets.json"
+        path.write_text(json.dumps(serialize_market(market)), encoding="utf-8")
+        assert main(["solve-tu", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: 4108 coalitions > guard 4096\n")
+
 
 class TestCmdSolveDiscrete:
     def test_intro_no_stable_matching(self, capsys):
@@ -251,6 +325,18 @@ class TestCmdSolveDiscrete:
         assert code == 1
         assert report["facts"]["outcome"] == "cycle"
         assert report["facts"]["revisit"] == [0, 4]
+
+    def test_dynamics_start_with_unknown_agents(self, capsys, tmp_path):
+        start = tmp_path / "start.json"
+        start.write_text(json.dumps({"assignment": {"w1": "f1", "w9": "f1", "w2": "f9"}}))
+        code = main([
+            "solve-discrete", fixture("intro_discrete.json"), "--dynamics", "--start", str(start),
+        ])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: start matching names unknown agents: [('w9', 'f1'), ('w2', 'f9')]\n",
+        )
 
     @pytest.mark.parametrize("max_steps", ["0", "1"])
     def test_dynamics_stable_start_with_few_steps(self, capsys, tmp_path, max_steps):
@@ -619,8 +705,7 @@ def test_worked_examples_script_runs():
         [sys.executable, str(WORKED_EXAMPLES)], capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    intro = done.stdout.split("== intro_discrete.json")[1].split("\n== ")[0]
-    assert (
-        "  demand type [(0, 1), (1, -1), (1, 0), (1, 1)] -> totally unimodular: False"
-        in intro.splitlines()
-    )
+    analyze = done.stdout.split("$ matchkit analyze tests/fixtures/intro_discrete.json\n")[1]
+    report = analyze.split("\n$ ")[0].splitlines()
+    assert report[0] == "command: analyze"
+    assert "    totally_unimodular: no" in report

@@ -71,6 +71,44 @@ class TestValidateMarket:
                 worker_prefs={"w": ("f", "f")},
             )
 
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (
+                lambda: TuMarket({"f"}, {"w"}, {"g": {fs({"w"}): 1}}, {}),
+                "valuation for unknown firm 'g'",
+            ),
+            (
+                lambda: TuMarket({"f"}, {"w"}, {}, {"v": {"f": 1}}),
+                "valuation for unknown worker 'v'",
+            ),
+            (
+                lambda: TuMarket({"f"}, {"w"}, {"f": {fs(): 1}}, {}),
+                "firm 'f' lists the empty set as acceptable",
+            ),
+            (
+                lambda: DiscreteMarket({"f"}, {"w"}, {"g": (fs({"w"}),)}, {}),
+                "preferences for unknown firm 'g'",
+            ),
+            (
+                lambda: DiscreteMarket({"f"}, {"w"}, {}, {"v": ("f",)}),
+                "preferences for unknown worker 'v'",
+            ),
+            (
+                lambda: DiscreteMarket({"f"}, {"w"}, {"f": (fs({"w", "ghost"}),)}, {}),
+                "firm 'f' set ('ghost', 'w') references unknown workers ['ghost']",
+            ),
+            (
+                lambda: DiscreteMarket({"f"}, {"w"}, {}, {"w": ("g",)}),
+                "worker 'w' ranks unknown firm 'g'",
+            ),
+        ],
+    )
+    def test_violation_messages(self, make, message):
+        with pytest.raises(InvalidMarketError) as e:
+            make()
+        assert str(e.value) == message
+
 
 class TestChoice:
     def test_market1_f2_pair(self, market1):

@@ -89,6 +89,41 @@ class TestValidate:
         )
         assert any("demands no workers" in p for p in validate_roadmap(r))
 
+    @pytest.mark.parametrize(
+        "technologies,edges,demanded,message",
+        [
+            (set(), (), {}, "roadmap has no technologies"),
+            (
+                {"v1"},
+                (("v1", "v2"),),
+                {"v1": fs({"w"})},
+                "edge (v1,v2) references unknown technology",
+            ),
+            ({"v1"}, (("v1", "v1"),), {"v1": fs({"w"})}, "self-loop at v1"),
+            (
+                {"v1", "v2"},
+                (("v1", "v2"), ("v2", "v1")),
+                {"v1": fs({"w"}), "v2": fs({"w"})},
+                "duplicate edge between v2 and v1",
+            ),
+            (
+                {"v1", "v2", "v3", "v4"},
+                (("v1", "v2"), ("v2", "v3"), ("v3", "v1")),
+                {v: fs({"w"}) for v in ("v1", "v2", "v3", "v4")},
+                "underlying graph is disconnected",
+            ),
+            (
+                {"v1"},
+                (),
+                {"v1": fs({"w"}), "v9": fs({"w"})},
+                "demanded set for unknown technology v9",
+            ),
+        ],
+    )
+    def test_violation_messages(self, technologies, edges, demanded, message):
+        r = Roadmap(technologies=technologies, edges=edges, demanded=demanded)
+        assert validate_roadmap(r) == [message]
+
     def test_unknown_worker_with_market(self, market1):
         r = Roadmap(
             technologies={"v1"}, edges=(), demanded={"v1": fs({"ghost"})}

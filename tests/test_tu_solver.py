@@ -19,7 +19,12 @@ from matchkit import (
     solve_lp,
 )
 from matchkit import tu_solver
-from matchkit.errors import CertificateError, SizeGuardExceeded, WorkBudgetExceeded
+from matchkit.errors import (
+    CertificateError,
+    InvalidMarketError,
+    SizeGuardExceeded,
+    WorkBudgetExceeded,
+)
 from matchkit.generator import GenParams, gen_tu_market
 from matchkit.io import load_market
 from matchkit.model import DEFAULT_BUDGET, _Budget, coalition_value, iter_disjoint_assignments
@@ -370,6 +375,26 @@ class TestCheckStable:
         )
         verdict = check_stable_tu(example1_tu, mu)
         assert any(v.kind == "ir" and v.agent == "w1" for v in verdict.violations)
+
+    @pytest.mark.parametrize(
+        "assignment,prices,message",
+        [
+            (
+                {"w9": "f1", "w1": "f9"},
+                {},
+                "assignment for unknown worker 'w9'; worker 'w1' assigned to unknown firm 'f9'",
+            ),
+            ({}, {"w9": 1}, "price for unknown worker 'w9'"),
+            ({}, {"w1": 2}, "unmatched worker 'w1' has nonzero price 2"),
+        ],
+    )
+    def test_ill_typed_matching_is_an_invalid_market_error(
+        self, intro_tu, assignment, prices, message
+    ):
+        mu = TuMatching(assignment=assignment, prices=prices)
+        with pytest.raises(InvalidMarketError) as e:
+            check_stable_tu(intro_tu, mu)
+        assert str(e.value) == message
 
 
 class TestSolverProperties:
