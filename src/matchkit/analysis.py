@@ -20,7 +20,6 @@ from .hypergraph import (
     HyperCycle,
     IntMatrix,
     build_hypergraph,
-    cycle_incidence_matrix,
     DEFAULT_BUDGET,
     is_cycle,
     is_nontrivial_odd,
@@ -222,10 +221,12 @@ def tu_cycle_certificate(m: DiscreteMarket, c: HyperCycle, h=None) -> IntMatrix:
     """Turn a qualifying nontrivial odd cycle into a square matrix of
     demand vectors with |det| = 2, witnessing non-total-unimodularity.
 
-    Start from the cycle's incidence matrix; within each firm's column
-    block (ordered so later sets are chosen over earlier ones) subtract the
-    first column from the rest; then drop each cycle-vertex firm's row
-    together with its first column; ``h`` is m's hypergraph if already built.
+    Rows are the cycle's workers, sorted.  Each firm's cycle edges are
+    ordered so later sets are chosen over earlier ones; every edge after
+    the first gives the indicator of its worker set minus that of the
+    first (least preferred) one, and the first edge gives its own indicator
+    when the firm is not a cycle vertex.  ``h`` is m's hypergraph if
+    already built.
     """
     h = h or build_hypergraph(m)
     if not is_cycle(h, c):
@@ -235,46 +236,30 @@ def tu_cycle_certificate(m: DiscreteMarket, c: HyperCycle, h=None) -> IntMatrix:
     if not _cycle_qualifies(m, h, c):
         raise ValueError("cycle fails the pairwise-choice condition")
 
-    base = cycle_incidence_matrix(h, c)
-    on_cycle = set(c.vertices)
-    col_of = {e: j for j, e in enumerate(c.edges)}
-
+    rows = tuple(sorted(v for v in c.vertices if v not in m.firms))
     by_firm: dict[str, list[int]] = {}
     for e in c.edges:
-        f, _ = h.edges[e]
-        by_firm.setdefault(f, []).append(e)
-
-    worker_rows = [i for i, v in enumerate(base.rows) if v not in m.firms]
-    out_cols: list[tuple[str, list[int]]] = []
+        by_firm.setdefault(h.edges[e][0], []).append(e)
+    labels, cols = [], []
     for f in sorted(by_firm):
-        # Ascending preference: the first column is the least preferred set,
-        # so subtracting it realizes chosen-minus-foregone demand vectors.
-        edges = sorted(by_firm[f], key=lambda e: -m.set_rank(f, h.edges[e][1]))
-        first = base.column(col_of[edges[0]])
-        if f not in on_cycle:
-            out_cols.append(
-                (base.cols[col_of[edges[0]]], [first[i] for i in worker_rows])
-            )
-        for e in edges[1:]:
-            col = base.column(col_of[e])
-            label = f"{base.cols[col_of[e]]}-{base.cols[col_of[edges[0]]]}"
-            out_cols.append((label, [col[i] - first[i] for i in worker_rows]))
+        # Ascending preference: subtracting the least preferred set's column
+        # realizes chosen-minus-foregone demand vectors.
+        first, *rest = sorted(by_firm[f], key=lambda e: -m.set_rank(f, h.edges[e][1]))
+        base = [int(w in h.edges[first][1]) for w in rows]
+        if f not in c.vertices:
+            labels.append(h.edge_label(first))
+            cols.append(base)
+        for e in rest:
+            labels.append(f"{h.edge_label(e)}-{h.edge_label(first)}")
+            cols.append([(w in h.edges[e][1]) - b for w, b in zip(rows, base)])
 
-    rows = tuple(base.rows[i] for i in worker_rows)
-    result = IntMatrix(
-        rows=rows,
-        cols=tuple(label for label, _ in out_cols),
-        entries=tuple(
-            tuple(col[i] for _, col in out_cols) for i in range(len(rows))
-        ),
-    )
-    n_rows, n_cols = result.shape
-    if n_rows != n_cols:
-        raise CertificateError(f"certificate matrix {n_rows}x{n_cols} is not square")
-    det = bareiss_determinant([list(row) for row in result.entries])
+    if len(rows) != len(cols):
+        raise CertificateError(f"certificate matrix {len(rows)}x{len(cols)} is not square")
+    entries = tuple(zip(*cols))
+    det = bareiss_determinant(entries)
     if abs(det) != 2:
         raise CertificateError(f"certificate determinant {det}, expected |det| = 2")
-    return result
+    return IntMatrix(rows=rows, cols=tuple(labels), entries=entries)
 
 
 def prop2_relation(m: DiscreteMarket, budget: int = DEFAULT_BUDGET) -> Prop2Report:

@@ -250,12 +250,7 @@ def gen_roadmap_instance(
         else:
             edges.append((vertices[i], other))
 
-    skeleton = Roadmap(
-        technologies=frozenset(vertices),
-        edges=tuple(edges),
-        demanded={v: frozenset({"placeholder"}) for v in vertices},
-    )
-    paths = technology_paths(skeleton)
+    paths = technology_paths(Roadmap(vertices, edges, {}))
 
     demanded: dict[str, set[str]] = {v: set() for v in vertices}
     for i, w in enumerate(workers):

@@ -49,6 +49,7 @@ class SizeGuard(NamedTuple):
     max_firms: int = 8
     max_workers: int = 12
     max_coalitions: int = 4096
+    max_path_vertices: int = 2_000_000
 
 
 DEFAULT_GUARD = SizeGuard()

@@ -13,9 +13,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .hypergraph import BalanceVerdict, FirmWorkerHypergraph, build_hypergraph, check_balanced
-from .errors import InvalidMarketError
+from .errors import InvalidMarketError, SizeGuardExceeded
 from .model import (
     DEFAULT_BUDGET,
+    DEFAULT_GUARD,
     Market,
     WorkerSet,
     _Budget,
@@ -165,28 +166,33 @@ def is_specialist(r: Roadmap, w: str) -> bool:
 
 
 def technology_paths(r: Roadmap) -> list[TechnologyPath]:
-    """Every technology path of the roadmap: all single vertices plus all
-    maximal-or-shorter directed paths, in (length, vertex tuple) order."""
-    out_edges: dict[str, list[str]] = {v: [] for v in r.technologies}
-    for a, b in r.edges:
-        out_edges[a].append(b)
-    paths = [TechnologyPath(vertices=(v,), edges=()) for v in sorted(r.technologies)]
+    """Every technology path of the roadmap, single vertices included, in
+    (length, vertex tuple) order.
 
-    def walk(chain: list[str]):
-        for nxt in sorted(out_edges[chain[-1]]):
-            chain.append(nxt)
-            paths.append(
-                TechnologyPath(
-                    vertices=tuple(chain),
-                    edges=tuple((chain[i], chain[i + 1]) for i in range(len(chain) - 1)),
-                )
-            )
-            walk(chain)
-            chain.pop()
-
-    for v in sorted(r.technologies):
-        walk([v])
-    paths.sort(key=lambda p: (len(p.vertices), p.vertices))
+    Paths are built one length at a time: each path of one length, in
+    order, is extended by its last vertex's successors in sorted order,
+    which lists the next length in order as well.  The vertices of all the
+    paths may not exceed ``DEFAULT_GUARD.max_path_vertices``; each length is
+    counted before it is built, so a chain past the guard, or edges closing
+    a directed cycle, raise SizeGuardExceeded."""
+    successors: dict[str, list[tuple[str, str]]] = {v: [] for v in r.technologies}
+    for e in sorted(r.edges):
+        successors[e[0]].append(e)
+    limit = DEFAULT_GUARD.max_path_vertices
+    level = [TechnologyPath(vertices=(v,), edges=()) for v in sorted(r.technologies)]
+    paths: list[TechnologyPath] = []
+    size = len(level)
+    while level:
+        paths += level
+        ends = [successors[p.vertices[-1]] for p in level]
+        size += (len(level[0].vertices) + 1) * sum(map(len, ends))
+        if size > limit:
+            raise SizeGuardExceeded(f"{size} technology path vertices > guard {limit}")
+        level = [
+            TechnologyPath(p.vertices + (e[1],), p.edges + (e,))
+            for p, out in zip(level, ends)
+            for e in out
+        ]
     return paths
 
 
@@ -199,15 +205,12 @@ def _covering_paths(m: Market, r: Roadmap) -> dict[str, list[TechnologyPath]]:
     if problems:
         raise InvalidMarketError("; ".join(problems))
     paths = technology_paths(r)
+    demanded = [{r.demanded[v] for v in p.vertices} for p in paths]
     covering = {}
     for f in sorted(m.firms):
         sets = set(m.acceptable_sets(f))
         if sets:
-            covering[f] = [
-                p
-                for p in paths
-                if all(any(r.demanded[v] == s for v in p.vertices) for s in sets)
-            ]
+            covering[f] = [p for p, d in zip(paths, demanded) if sets <= d]
     return covering
 
 

@@ -41,17 +41,10 @@ from matchkit.generator import (
     gen_tu_market,
 )
 
+from golden import SUITE_PARAMS
+
 F = Fraction
 fs = frozenset
-
-SUITE_PARAMS = dict(
-    firm_count=4,
-    worker_count=6,
-    max_acceptable_sets_per_firm=3,
-    max_set_size=3,
-    value_range=(F(0), F(10)),
-    acceptability_density=0.85,
-)
 
 
 def ok(n: int, label: str) -> None:

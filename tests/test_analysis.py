@@ -1,5 +1,4 @@
 import time
-from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -16,12 +15,15 @@ from matchkit import (
     prop2_relation,
     tu_cycle_certificate,
 )
-from matchkit.analysis import DemandType, TuVerdict, bareiss_determinant
+from matchkit.analysis import DemandType, TuVerdict, _cycle_qualifies, bareiss_determinant
 from matchkit import analysis
 from matchkit.errors import CertificateError, SizeGuardExceeded, WorkBudgetExceeded
 from matchkit.generator import GenParams, SplitMix64, gen_discrete_market
+from matchkit.hypergraph import cycle_incidence_matrix, iter_cycles
 from matchkit.io import load_market
 from matchkit.model import satisfactory_sets
+
+from golden import SUITE_PARAMS
 
 fs = frozenset
 
@@ -35,15 +37,34 @@ DISCRETE_FIXTURES = (
     "profile13.json",
 )
 
-# The acceptance suite's generator parameters.
-SUITE_PARAMS = dict(
-    firm_count=4,
-    worker_count=6,
-    max_acceptable_sets_per_firm=3,
-    max_set_size=3,
-    value_range=(Fraction(0), Fraction(10)),
-    acceptability_density=0.85,
-)
+
+def incidence_certificate(m, c, h):
+    """The certificate as it was cut from the cycle's incidence matrix:
+    within each firm's column block, ordered by ascending preference,
+    subtract the first column from the rest, then drop the firm rows and
+    the first column of each firm that is a cycle vertex."""
+    base = cycle_incidence_matrix(h, c)
+    col_of = {e: j for j, e in enumerate(c.edges)}
+    by_firm = {}
+    for e in c.edges:
+        by_firm.setdefault(h.edges[e][0], []).append(e)
+    worker_rows = [i for i, v in enumerate(base.rows) if v not in m.firms]
+    out_cols = []
+    for f in sorted(by_firm):
+        edges = sorted(by_firm[f], key=lambda e: -m.set_rank(f, h.edges[e][1]))
+        first = base.column(col_of[edges[0]])
+        if f not in c.vertices:
+            out_cols.append((base.cols[col_of[edges[0]]], [first[i] for i in worker_rows]))
+        for e in edges[1:]:
+            col = base.column(col_of[e])
+            label = f"{base.cols[col_of[e]]}-{base.cols[col_of[edges[0]]]}"
+            out_cols.append((label, [col[i] - first[i] for i in worker_rows]))
+    rows = tuple(base.rows[i] for i in worker_rows)
+    return IntMatrix(
+        rows=rows,
+        cols=tuple(label for label, _ in out_cols),
+        entries=tuple(tuple(col[i] for _, col in out_cols) for i in range(len(rows))),
+    )
 
 
 def cofactor_determinant(rows):
@@ -431,6 +452,27 @@ class TestCertificate:
         monkeypatch.setattr(analysis, "bareiss_determinant", lambda rows: 1)
         with pytest.raises(CertificateError, match="determinant 1"):
             tu_cycle_certificate(market1, witness)
+
+    def test_agrees_with_incidence_matrix_on_suite_cycles(self):
+        # Every qualifying nontrivial odd cycle of the 500-seed corpus; the
+        # first one of each market is its prop1 witness.
+        witnesses = cycles = 0
+        for seed in range(500):
+            m = gen_discrete_market(GenParams(seed=seed, **SUITE_PARAMS))
+            h = build_hypergraph(m)
+            qualifying = [
+                c for c in iter_cycles(h, odd_only=True, nontrivial_only=True)
+                if _cycle_qualifies(m, h, c)
+            ]
+            verdict = prop1_check(m)
+            assert verdict.witness == (qualifying[0] if qualifying else None)
+            witnesses += not verdict.guaranteed
+            for c in qualifying:
+                cycles += 1
+                cert = tu_cycle_certificate(m, c, h)
+                assert cert == incidence_certificate(m, c, h)
+                assert all(type(x) is int for row in cert.entries for x in row)
+        assert (witnesses, cycles) == (277, 1779)
 
     def test_determinant_two_on_random_qualifying_cycles(self):
         seen = 0

@@ -1,5 +1,4 @@
 from collections import Counter
-from fractions import Fraction
 from itertools import chain, product
 from pathlib import Path
 
@@ -28,20 +27,12 @@ from matchkit.model import (
     set_key,
 )
 
-from golden import complete_marriage_market
+from golden import SUITE_PARAMS, complete_marriage_market
 
 fs = frozenset
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-SUITE_PARAMS = dict(
-    firm_count=4,
-    worker_count=6,
-    max_acceptable_sets_per_firm=3,
-    max_set_size=3,
-    value_range=(Fraction(0), Fraction(10)),
-    acceptability_density=0.85,
-)
 WIDE_PARAMS = dict(
     firm_count=6,
     worker_count=10,

@@ -27,16 +27,9 @@ from matchkit.generator import (
 from matchkit.model import DiscreteMarket, TuMarket
 from matchkit.roadmap import Roadmap, TechnologyPath, technology_paths
 
-F = Fraction
+from golden import SUITE_PARAMS
 
-SUITE_PARAMS = dict(
-    firm_count=4,
-    worker_count=6,
-    max_acceptable_sets_per_firm=3,
-    max_set_size=3,
-    value_range=(F(0), F(10)),
-    acceptability_density=0.85,
-)
+F = Fraction
 
 
 class TestSplitMix64:

@@ -23,19 +23,11 @@ from matchkit.tu_solver import (
 )
 
 import lp_oracles
-from golden import assignment_game, tied_game
+from golden import SUITE_PARAMS, assignment_game, tied_game
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
 
-SUITE_PARAMS = dict(
-    firm_count=4,
-    worker_count=6,
-    max_acceptable_sets_per_firm=3,
-    max_set_size=3,
-    value_range=(F(0), F(10)),
-    acceptability_density=0.85,
-)
 COMPLETE_SHAPES = ((2, 3), (3, 5), (4, 4), (5, 6), (6, 8), (7, 10))
 
 

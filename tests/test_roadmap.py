@@ -1,4 +1,5 @@
-from fractions import Fraction
+import json
+import random
 from itertools import product
 
 import pytest
@@ -12,20 +13,15 @@ from matchkit import (
     validate_roadmap,
     worker_subgraph,
 )
-from matchkit.errors import WorkBudgetExceeded
+from matchkit import cli
+from matchkit.errors import SizeGuardExceeded, WorkBudgetExceeded
 from matchkit.generator import GenParams, gen_roadmap_instance
-from matchkit.roadmap import iter_specializations, technology_paths
+from matchkit.model import SizeGuard
+from matchkit.roadmap import TechnologyPath, iter_specializations, technology_paths
+
+from golden import SUITE_PARAMS
 
 fs = frozenset
-
-SUITE_PARAMS = dict(
-    firm_count=4,
-    worker_count=6,
-    max_acceptable_sets_per_firm=3,
-    max_set_size=3,
-    value_range=(Fraction(0), Fraction(10)),
-    acceptability_density=0.85,
-)
 
 
 def specialization_oracle(m, r):
@@ -47,6 +43,60 @@ def specialization_oracle(m, r):
         if len(vertices) == len(set(vertices)):
             out.append(dict(zip(firms, combo)))
     return out
+
+
+def walked_technology_paths(r):
+    """The paths as the recursive walk found them, before paths were built
+    by extension: every directed path from each vertex, then one sort."""
+    out_edges = {v: [] for v in r.technologies}
+    for a, b in r.edges:
+        out_edges[a].append(b)
+    paths = [TechnologyPath(vertices=(v,), edges=()) for v in sorted(r.technologies)]
+
+    def walk(chain):
+        for nxt in sorted(out_edges[chain[-1]]):
+            chain.append(nxt)
+            paths.append(
+                TechnologyPath(
+                    vertices=tuple(chain),
+                    edges=tuple((chain[i], chain[i + 1]) for i in range(len(chain) - 1)),
+                )
+            )
+            walk(chain)
+            chain.pop()
+
+    for v in sorted(r.technologies):
+        walk([v])
+    paths.sort(key=lambda p: (len(p.vertices), p.vertices))
+    return paths
+
+
+def random_oriented_tree(rng, n):
+    """A random tree on n vertices, each edge oriented by a coin flip; the
+    names are drawn so that sorted order is not attachment order."""
+    names = rng.sample([f"t{i:02d}" for i in range(30)], n)
+    edges = []
+    for i in range(1, n):
+        other = names[rng.randrange(i)]
+        edges.append((other, names[i]) if rng.random() < 0.5 else (names[i], other))
+    rng.shuffle(edges)
+    return Roadmap(technologies=names, edges=edges, demanded={v: {"w"} for v in names})
+
+
+def chain_files(tmp_path, n):
+    """A chain of n technologies, each demanding w1, and a one-firm market
+    wanting w1: every worker a specialist, the firm specialized."""
+    names = [f"v{i:04d}" for i in range(n)]
+    roadmap = tmp_path / f"chain{n}.json"
+    roadmap.write_text(json.dumps({
+        "edges": [[a, b] for a, b in zip(names, names[1:])],
+        "technologies": {v: ["w1"] for v in names},
+    }))
+    market = tmp_path / "one_firm.json"
+    market.write_text(json.dumps(
+        {"kind": "discrete", "firms": {"f1": [["w1"]]}, "workers": {"w1": ["f1"]}}
+    ))
+    return str(roadmap), str(market)
 
 
 @pytest.fixture
@@ -277,6 +327,65 @@ class TestTechnologyPaths:
         paths = {p.vertices for p in technology_paths(counter_roadmap_1)}
         assert ("v1", "v2", "v3") in paths
         assert ("v3", "v2", "v1") not in paths
+
+    def test_agrees_with_recursive_walk_on_suite_roadmaps(self):
+        generated = 0
+        for seed in range(500):
+            try:
+                r, _ = gen_roadmap_instance(GenParams(seed=seed, **SUITE_PARAMS))
+            except ValueError:
+                continue
+            generated += 1
+            assert technology_paths(r) == walked_technology_paths(r)
+        assert generated >= 200
+
+    def test_agrees_with_recursive_walk_on_random_oriented_trees(self):
+        rng = random.Random(20)
+        for k in range(1200):
+            r = random_oriented_tree(rng, 1 + k % 12)
+            assert technology_paths(r) == walked_technology_paths(r)
+
+
+class TestPathGuard:
+    def test_directed_cycle_is_refused(self):
+        r = Roadmap(
+            technologies={"a", "b", "c"},
+            edges=(("a", "b"), ("b", "c"), ("c", "a")),
+            demanded={v: {"w"} for v in "abc"},
+        )
+        with pytest.raises(SizeGuardExceeded, match="technology path vertices > guard"):
+            technology_paths(r)
+
+    def test_guard_bounds_all_path_vertices(self, monkeypatch):
+        # A chain of n vertices has n(n+1)(n+2)/6 path vertices: 10 for n = 3.
+        r = Roadmap(technologies={"a", "b", "c"}, edges=(("a", "b"), ("b", "c")), demanded={})
+        monkeypatch.setattr("matchkit.roadmap.DEFAULT_GUARD", SizeGuard(max_path_vertices=10))
+        assert sum(len(p.vertices) for p in technology_paths(r)) == 10
+        monkeypatch.setattr("matchkit.roadmap.DEFAULT_GUARD", SizeGuard(max_path_vertices=9))
+        with pytest.raises(SizeGuardExceeded, match="^10 technology path vertices > guard 9$"):
+            technology_paths(r)
+
+    def test_long_chain_exits_2_without_traceback(self, tmp_path, capsys):
+        roadmap, market = chain_files(tmp_path, 1500)
+        assert cli.main(["roadmap", roadmap, market]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "technology path vertices > guard 2000000" in err
+        assert "Traceback" not in err
+
+    def test_chain_inside_the_guard_keeps_its_facts(self, tmp_path, capsys):
+        roadmap, market = chain_files(tmp_path, 200)
+        assert cli.main(["roadmap", roadmap, market, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["facts"] == {
+            "specialists": True,
+            "non_specialists": [],
+            "specialized": True,
+            "firm_paths": {"f1": ["v0000"]},
+            "reason": None,
+            "balanced": True,
+            "witness": None,
+            "falsification": False,
+        }
 
 
 class TestTheorem3Report:

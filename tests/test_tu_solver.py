@@ -30,19 +30,10 @@ from matchkit.io import load_market
 from matchkit.model import DEFAULT_BUDGET, _Budget, coalition_value, iter_disjoint_assignments
 from matchkit.simplex import simplex_max
 
-from golden import assignment_game, tied_game
+from golden import SUITE_PARAMS, assignment_game, tied_game
 
 F = Fraction
 fs = frozenset
-
-SUITE_PARAMS = dict(
-    firm_count=4,
-    worker_count=6,
-    max_acceptable_sets_per_firm=3,
-    max_set_size=3,
-    value_range=(F(0), F(10)),
-    acceptability_density=0.85,
-)
 
 
 def partition_oracle(m: TuMarket):
