@@ -4,12 +4,10 @@ hypergraph balancedness, exact LP duality, and choice-function stability."""
 from .analysis import (
     DemandType,
     Prop1Verdict,
-    Prop2Report,
     TuVerdict,
     demand_type,
     is_totally_unimodular,
     prop1_check,
-    prop2_relation,
     tu_cycle_certificate,
 )
 from .discrete_solver import (
@@ -39,9 +37,6 @@ from .hypergraph import (
     build_hypergraph,
     canonical_cycle,
     check_balanced,
-    cycle_incidence_matrix,
-    enumerate_cycles,
-    incidence_matrix,
     is_cycle,
     is_nontrivial_odd,
 )
@@ -52,7 +47,6 @@ from .model import (
     TuMarket,
     TuMatching,
     choice,
-    coalition_value,
     satisfactory_sets,
     tu_utilities,
     validate_market,

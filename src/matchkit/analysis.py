@@ -71,12 +71,6 @@ class Prop1Verdict(NamedTuple):
     hypergraph: FirmWorkerHypergraph | None = None  # the witness indexes its edges
 
 
-class Prop2Report(NamedTuple):
-    tu_verdict: TuVerdict
-    prop1: Prop1Verdict
-    consistent: bool
-
-
 def demand_type(m: DiscreteMarket) -> DemandType:
     """All nonzero vectors chi_Ch(S) - chi_Ch(S') over pairs S' strictly
     inside S, per firm and pooled.
@@ -211,7 +205,7 @@ def prop1_check(m: DiscreteMarket, budget: int = DEFAULT_BUDGET) -> Prop1Verdict
     evaluated lazily, cycle by cycle."""
     check_guard(m)
     h = build_hypergraph(m)
-    for c in iter_cycles(h, odd_only=True, nontrivial_only=True, budget=budget):
+    for c in iter_cycles(h, budget=budget):
         if _cycle_qualifies(m, h, c):
             return Prop1Verdict(guaranteed=False, witness=c, hypergraph=h)
     return Prop1Verdict(guaranteed=True, hypergraph=h)
@@ -260,14 +254,3 @@ def tu_cycle_certificate(m: DiscreteMarket, c: HyperCycle, h=None) -> IntMatrix:
     if abs(det) != 2:
         raise CertificateError(f"certificate determinant {det}, expected |det| = 2")
     return IntMatrix(rows=rows, cols=tuple(labels), entries=entries)
-
-
-def prop2_relation(m: DiscreteMarket, budget: int = DEFAULT_BUDGET) -> Prop2Report:
-    """Evaluate total unimodularity of the pooled demand type alongside the
-    cycle condition; a totally unimodular demand type with a qualifying
-    cycle would falsify the implication and is flagged."""
-    dt = demand_type(m)
-    tu = is_totally_unimodular(dt.matrix(), budget)
-    p1 = prop1_check(m, budget)
-    consistent = not (tu.totally_unimodular and not p1.guaranteed)
-    return Prop2Report(tu_verdict=tu, prop1=p1, consistent=consistent)

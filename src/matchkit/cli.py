@@ -9,7 +9,8 @@ fact dictionary, so they always carry identical content.  The environment
 variable MATCHKIT_BUDGET overrides the default work budget of the exhaustive
 searches when no ``--budget`` flag is given; it is read on every ``main``
 call, while the argument parser is built once per process.  A budget that
-is not an integer, and a negative budget or ``--max-steps``, exit 2.
+is not an integer, a negative budget or ``--max-steps``, and ``--start``
+without ``--dynamics`` exit 2 before any file is read.
 
 Each input is checked once, where it enters: ``io.load_market`` builds the
 market, and the market constructors reject an invalid one with every
@@ -477,6 +478,9 @@ def main(argv=None) -> int:
         if value < 0:
             print(f"error: {name} must be nonnegative, got {value}", file=sys.stderr)
             return EXIT_INPUT
+    if getattr(args, "start", None) is not None and not args.dynamics:
+        print("error: --start needs --dynamics", file=sys.stderr)
+        return EXIT_INPUT
     # The handler is looked up by name on each call, not bound in the cached
     # parser, so a wrapper later installed on a cmd_* attribute still runs.
     handler = globals()["cmd_" + args.command.replace("-", "_")]

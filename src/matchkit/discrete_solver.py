@@ -14,9 +14,10 @@ and prunes them with a forward version of the same test: a partial
 assignment in which some placed firm blocks every completion is not
 extended, and its pruned subtree spends no budget steps.  Every candidate
 that survives is still verified by check_stable_discrete.  The prune works
-on bitmasks built once per enumeration: a bit per worker and, per option,
-the masks of the sets ranked above it; a firm blocks when one of them lies
-inside the mask of its pool.
+on bitmasks built once per enumeration: a bit per worker, per firm the
+masks of its listed sets, and per option its rank among them; a firm blocks
+when one of the masks ranked above its option lies inside the mask of its
+pool.
 """
 
 from __future__ import annotations
@@ -207,12 +208,13 @@ def _forward_blocking(m: DiscreteMarket, firms: list[str], options):
     rank = {w: {f: r for r, f in enumerate(m.worker_prefs.get(w, ()))} for w in workers}
     # accept[k]: (worker, bit, its rank of firms[k]) for the workers listing it.
     accept = [[(w, bit[w], rank[w][f]) for w in workers if f in rank[w]] for f in firms]
-    # better[k][S]: the masks of the sets firms[k] ranks above its option S.
-    better = []
-    for f, opts in zip(firms, options):
+    # masks[k]: the masks of the sets firms[k] lists, best first;
+    # ranks[k][S]: how many of them it ranks above its option S.
+    masks, ranks = [], []
+    for f in firms:
         prefs = m.firm_prefs.get(f, ())
-        masks = [sum(bit[w] for w in s) for s in prefs]
-        better.append({s: masks[: prefs.index(s)] if s else masks for _, s in opts})
+        masks.append([sum(bit[w] for w in s) for s in prefs])
+        ranks.append({s: r for r, s in enumerate(prefs)} | {frozenset(): len(prefs)})
     # open_top[i][w]: the worst rank of a firm that an unassigned w prefers
     # to staying unmatched and to every later slot that can hire it.
     open_top = [None] * len(firms)
@@ -231,14 +233,14 @@ def _forward_blocking(m: DiscreteMarket, firms: list[str], options):
             for w in picked[k]:
                 top[w] = rank[w][f]  # an assigned worker: its rank of its own firm
         for k in range(i + 1):
-            above = better[k][picked[k]]
+            above = ranks[k][picked[k]]
             if not above:
                 continue
             pool = 0
             for w, b, r in accept[k]:
                 if r <= top[w]:
                     pool |= b
-            for b in above:
+            for b in masks[k][:above]:
                 if not b & ~pool:
                     return True
         return False

@@ -88,12 +88,6 @@ class SplitMix64:
             j = self.randint(0, i)
             items[i], items[j] = items[j], items[i]
 
-    def fraction(self, lo: Fraction, hi: Fraction) -> Fraction:
-        table = _denominators(lo, hi)
-        if not table:
-            raise ValueError(f"no rational with denominator <= {MAX_DEN} in [{lo}, {hi}]")
-        return _value(self, table)
-
 
 class _GenParamsFields(NamedTuple):
     seed: int

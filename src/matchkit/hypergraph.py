@@ -6,11 +6,11 @@ cyclic alternating sequence of distinct vertices and distinct edges; it is a
 nontrivial odd-length cycle when the edge count is odd and every edge meets
 exactly two cycle vertices.  A hypergraph with no such cycle is balanced.
 
-Balancedness is decided by exhaustive search over alternating sequences
-(desk-scale instances), with a work budget so a blown-up search surfaces as
-an error rather than a wrong verdict.  When every edge has at most one
-worker the hypergraph is a bipartite graph and the odd-cycle search returns
-at once.
+The cycle search yields nontrivial odd cycles only; it decides
+balancedness by exhaustive search over alternating sequences (desk-scale
+instances), with a work budget so a blown-up search surfaces as an error
+rather than a wrong verdict.  When every edge has at most one worker the
+hypergraph is a bipartite graph and the search returns at once.
 """
 
 from __future__ import annotations
@@ -142,21 +142,17 @@ def _reflect(c: HyperCycle) -> tuple[tuple[str, ...], tuple[int, ...]]:
     return verts, edges
 
 
-def iter_cycles(
-    h: FirmWorkerHypergraph,
-    odd_only: bool = False,
-    nontrivial_only: bool = False,
-    budget: int = DEFAULT_BUDGET,
-):
-    """Lazily yield cycles (canonical forms, deduplicated) in DFS order;
-    callers that stop early only pay for the search up to that point.
+def iter_cycles(h: FirmWorkerHypergraph, budget: int = DEFAULT_BUDGET):
+    """Lazily yield the nontrivial odd cycles (canonical forms, deduplicated)
+    in DFS order; callers that stop early only pay for the search up to that
+    point.
 
     Each search path starts at its least vertex, so a cycle is discovered
-    from exactly one starting vertex (once per direction).  In nontrivial
-    mode, edges on the partial path are kept at exactly two path vertices:
-    adding vertices never shrinks an intersection, so any excess is final.
+    from exactly one starting vertex (once per direction).  Edges on the
+    partial path are kept at exactly two path vertices: adding vertices never
+    shrinks an intersection, so any excess is final.
     """
-    if odd_only and all(len(s) <= 1 for _, s in h.edges):
+    if all(len(s) <= 1 for _, s in h.edges):
         # Consecutive cycle vertices share an edge, so a cycle of length
         # k >= 3 is a cycle of the 2-section graph.  With at most one worker
         # per edge that graph joins firms to workers only: it is bipartite
@@ -180,25 +176,21 @@ def iter_cycles(
             steps.spend()
             overlap = len(members[e] & used_v)
             # Close the cycle back to the start vertex.
-            if len(path_v) >= 2 and start in members[e]:
-                k = len(path_v)
-                if (not odd_only or k % 2 == 1) and (
-                    not nontrivial_only or overlap == 2
-                ):
-                    cand = HyperCycle(tuple(path_v), tuple(path_e) + (e,))
-                    if not nontrivial_only or is_nontrivial_odd(h, cand):
-                        canon = canonical_cycle(cand)
-                        if canon not in seen:
-                            seen.add(canon)
-                            yield canon
-            if nontrivial_only and overlap > 1:
+            if len(path_v) % 2 == 1 and overlap == 2 and start in members[e]:
+                cand = HyperCycle(tuple(path_v), tuple(path_e) + (e,))
+                if is_nontrivial_odd(h, cand):
+                    canon = canonical_cycle(cand)
+                    if canon not in seen:
+                        seen.add(canon)
+                        yield canon
+            if overlap > 1:
                 # e already meets two path vertices; a third is inevitable
                 # if we extend through it.
                 continue
             for v in members_sorted[e]:
                 if v <= start or v in used_v:
                     continue
-                if nontrivial_only and any(v in members[e2] for e2 in used_e):
+                if any(v in members[e2] for e2 in used_e):
                     continue
                 path_v.append(v)
                 path_e.append(e)
@@ -214,47 +206,11 @@ def iter_cycles(
         yield from extend(start, [start], [], {start}, set())
 
 
-def enumerate_cycles(
-    h: FirmWorkerHypergraph,
-    odd_only: bool = False,
-    nontrivial_only: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> list[HyperCycle]:
-    """All cycles up to rotation/reflection equivalence, sorted by canonical
-    form."""
-    return sorted(iter_cycles(h, odd_only, nontrivial_only, budget))
-
-
 def check_balanced(
     h: FirmWorkerHypergraph, budget: int = DEFAULT_BUDGET
 ) -> BalanceVerdict:
     """Balanced iff no nontrivial odd-length cycle exists; an unbalanced
     verdict carries the first such cycle found as a witness."""
-    for c in iter_cycles(h, odd_only=True, nontrivial_only=True, budget=budget):
+    for c in iter_cycles(h, budget=budget):
         return BalanceVerdict(balanced=False, witness=c)
     return BalanceVerdict(balanced=True)
-
-
-def incidence_matrix(h: FirmWorkerHypergraph) -> IntMatrix:
-    """0/1 vertex-by-edge incidence matrix; rows are all vertices in sorted
-    order (isolated vertices give zero rows), column j is the indicator of
-    edge j."""
-    rows = tuple(sorted(h.vertices))
-    cols = tuple(h.edge_label(i) for i in range(len(h.edges)))
-    entries = tuple(
-        tuple(1 if v in h.edge_members(i) else 0 for i in range(len(h.edges)))
-        for v in rows
-    )
-    return IntMatrix(rows=rows, cols=cols, entries=entries)
-
-
-def cycle_incidence_matrix(h: FirmWorkerHypergraph, c: HyperCycle) -> IntMatrix:
-    """Incidence matrix of a cycle: rows are the cycle's vertices (sorted),
-    columns its edges in cycle order.  For a nontrivial odd cycle this is a
-    square matrix with exactly two ones per row and per column."""
-    rows = tuple(sorted(c.vertices))
-    cols = tuple(h.edge_label(i) for i in c.edges)
-    entries = tuple(
-        tuple(1 if v in h.edge_members(i) else 0 for i in c.edges) for v in rows
-    )
-    return IntMatrix(rows=rows, cols=cols, entries=entries)

@@ -349,33 +349,6 @@ class Coalition(_CoalitionFields):
         return "{" + ",".join(sorted(self.members())) + "}"
 
 
-def coalition_value(m: TuMarket, c: Coalition) -> Fraction:
-    """Aggregate value V(S): v_f(S') plus the members' firm valuations for
-    coalitions {f} u S', and 0 for singletons.
-
-    The coalition must belong to I u E: for a firm coalition, S' must be
-    acceptable to f and f acceptable to every member.
-    """
-    if c.firm is None:
-        (w,) = c.workers
-        if w not in m.workers:
-            raise ValueError(f"unknown worker {w!r}")
-        return Fraction(0)
-    if c.firm not in m.firms:
-        raise ValueError(f"unknown firm {c.firm!r}")
-    if not c.workers:
-        return Fraction(0)
-    if c.workers not in m.firm_valuations.get(c.firm, {}):
-        raise ValueError(f"{c.label()} is not an acceptable set of {c.firm!r}")
-    for w in c.workers:
-        if c.firm not in m.worker_valuations.get(w, {}):
-            raise ValueError(f"firm {c.firm!r} is unacceptable to worker {w!r}")
-    total = m.firm_value(c.firm, c.workers)
-    for w in c.workers:
-        total += m.worker_value(w, c.firm)
-    return total
-
-
 class _TuMatchingFields(NamedTuple):
     assignment: dict[str, str]
     prices: dict[str, Fraction]

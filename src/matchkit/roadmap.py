@@ -222,13 +222,6 @@ def _disjoint_covers(covering: dict[str, list[TechnologyPath]], budget: int):
         yield dict(zip(covering, picked))
 
 
-def iter_specializations(m: Market, r: Roadmap, budget: int = DEFAULT_BUDGET):
-    """Yield every collection of vertex-disjoint technology paths covering
-    the firms' acceptable sets, in canonical search order, as a firm -> path
-    dict.  Firms with no acceptable sets are left out of the witness."""
-    yield from _disjoint_covers(_covering_paths(m, r), budget)
-
-
 def check_specialized(
     m: Market, r: Roadmap, budget: int = DEFAULT_BUDGET
 ) -> SpecializationResult:

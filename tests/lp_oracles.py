@@ -2,7 +2,9 @@
 ``simplex_max`` certifying each solve itself, ``solve_lp`` certifying its
 pair a third time and summing coverage in Fractions, and ``check_stable_tu``
 summing utilities and coalition values in Fractions.  Kept verbatim as
-oracles for the differential tests in ``test_lp_oracles.py``."""
+oracles for the differential tests in ``test_lp_oracles.py``, together with
+``coalition_value``, which left ``matchkit.model`` once only these oracles
+and the tests called it."""
 
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ from matchkit.model import (
     Coalition,
     TuMarket,
     TuMatching,
-    coalition_value,
     set_key,
     tu_utilities,
     validate_tu_matching,
@@ -30,6 +31,33 @@ from matchkit.tu_solver import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def coalition_value(m: TuMarket, c: Coalition) -> Fraction:
+    """Aggregate value V(S): v_f(S') plus the members' firm valuations for
+    coalitions {f} u S', and 0 for singletons.
+
+    The coalition must belong to I u E: for a firm coalition, S' must be
+    acceptable to f and f acceptable to every member.
+    """
+    if c.firm is None:
+        (w,) = c.workers
+        if w not in m.workers:
+            raise ValueError(f"unknown worker {w!r}")
+        return Fraction(0)
+    if c.firm not in m.firms:
+        raise ValueError(f"unknown firm {c.firm!r}")
+    if not c.workers:
+        return Fraction(0)
+    if c.workers not in m.firm_valuations.get(c.firm, {}):
+        raise ValueError(f"{c.label()} is not an acceptable set of {c.firm!r}")
+    for w in c.workers:
+        if c.firm not in m.worker_valuations.get(w, {}):
+            raise ValueError(f"firm {c.firm!r} is unacceptable to worker {w!r}")
+    total = m.firm_value(c.firm, c.workers)
+    for w in c.workers:
+        total += m.worker_value(w, c.firm)
+    return total
 
 
 def _scaled(values) -> tuple[list[int], int]:

@@ -18,7 +18,6 @@ from matchkit import (
     check_stable_discrete,
     check_stable_tu,
     demand_type,
-    enumerate_cycles,
     enumerate_stable_matchings,
     find_stable_matching_tu,
     is_nontrivial_odd,
@@ -26,7 +25,6 @@ from matchkit import (
     is_totally_unimodular,
     check_specialized,
     prop1_check,
-    prop2_relation,
     run_blocking_dynamics,
     solve_lp,
     tu_cycle_certificate,
@@ -41,7 +39,9 @@ from matchkit.generator import (
     gen_tu_market,
 )
 
+from cycle_oracles import enumerate_cycles
 from golden import SUITE_PARAMS
+from test_analysis import prop2_sides
 
 F = Fraction
 fs = frozenset
@@ -190,8 +190,8 @@ def test_criterion_11_proposition_2_suite():
     offenders = []
     for seed in range(500):
         m = gen_discrete_market(GenParams(seed=seed, **SUITE_PARAMS))
-        rep = prop2_relation(m)
-        if not rep.consistent:
+        tu, p1 = prop2_sides(m)
+        if tu.totally_unimodular and not p1.guaranteed:
             offenders.append(seed)
     assert offenders == []
     ok(11, "proposition 2: 0/500 markets with a TU demand type but a qualifying cycle")

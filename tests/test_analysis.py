@@ -12,17 +12,17 @@ from matchkit import (
     demand_type,
     is_totally_unimodular,
     prop1_check,
-    prop2_relation,
     tu_cycle_certificate,
 )
 from matchkit.analysis import DemandType, TuVerdict, _cycle_qualifies, bareiss_determinant
 from matchkit import analysis
 from matchkit.errors import CertificateError, SizeGuardExceeded, WorkBudgetExceeded
 from matchkit.generator import GenParams, SplitMix64, gen_discrete_market
-from matchkit.hypergraph import cycle_incidence_matrix, iter_cycles
+from matchkit.hypergraph import iter_cycles
 from matchkit.io import load_market
-from matchkit.model import satisfactory_sets
+from matchkit.model import DEFAULT_BUDGET, satisfactory_sets
 
+from cycle_oracles import cycle_incidence_matrix
 from golden import SUITE_PARAMS
 
 fs = frozenset
@@ -65,6 +65,13 @@ def incidence_certificate(m, c, h):
         cols=tuple(label for label, _ in out_cols),
         entries=tuple(tuple(col[i] for _, col in out_cols) for i in range(len(rows))),
     )
+
+
+def prop2_sides(m, budget=DEFAULT_BUDGET):
+    """Proposition 2's hypothesis and conclusion: the unimodularity verdict
+    of the pooled demand type, and the cycle condition.  A totally
+    unimodular demand type with a qualifying cycle would falsify it."""
+    return is_totally_unimodular(demand_type(m).matrix(), budget), prop1_check(m, budget)
 
 
 def cofactor_determinant(rows):
@@ -384,7 +391,7 @@ class TestTotallyUnimodular:
 
     def test_prop2_passes_its_budget(self, market1):
         with pytest.raises(WorkBudgetExceeded, match="unimodularity test"):
-            prop2_relation(market1, budget=1)
+            prop2_sides(market1, budget=1)
 
     def test_bareiss_matches_cofactor(self):
         rng = SplitMix64(7)
@@ -461,7 +468,7 @@ class TestCertificate:
             m = gen_discrete_market(GenParams(seed=seed, **SUITE_PARAMS))
             h = build_hypergraph(m)
             qualifying = [
-                c for c in iter_cycles(h, odd_only=True, nontrivial_only=True)
+                c for c in iter_cycles(h)
                 if _cycle_qualifies(m, h, c)
             ]
             verdict = prop1_check(m)
@@ -516,20 +523,17 @@ def test_guaranteed_markets_have_stable_matchings():
 
 class TestProp2:
     def test_example3_pair(self, example3_discrete):
-        rep = prop2_relation(example3_discrete)
-        assert rep.tu_verdict.totally_unimodular
-        assert rep.prop1.guaranteed
-        assert rep.consistent
+        tu, p1 = prop2_sides(example3_discrete)
+        assert tu.totally_unimodular
+        assert p1.guaranteed
 
     def test_market1_pair(self, market1):
-        rep = prop2_relation(market1)
-        assert not rep.tu_verdict.totally_unimodular
-        assert not rep.prop1.guaranteed
-        assert rep.consistent
+        tu, p1 = prop2_sides(market1)
+        assert not tu.totally_unimodular
+        assert not p1.guaranteed
 
     def test_empty_market_vacuous(self):
         m = DiscreteMarket(firms=set(), workers=set(), firm_prefs={}, worker_prefs={})
-        rep = prop2_relation(m)
-        assert rep.tu_verdict.totally_unimodular
-        assert rep.prop1.guaranteed
-        assert rep.consistent
+        tu, p1 = prop2_sides(m)
+        assert tu.totally_unimodular
+        assert p1.guaranteed

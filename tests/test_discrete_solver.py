@@ -1,5 +1,6 @@
+import tracemalloc
 from collections import Counter
-from itertools import chain, product
+from itertools import chain, combinations, product
 from pathlib import Path
 
 import pytest
@@ -381,6 +382,27 @@ class TestForwardBlockingPrune:
         for n_firms, n_workers in MARRIAGE_SHAPES:
             for seed in range(2):
                 self.agree(complete_marriage_market(n_firms, n_workers, seed))
+
+    def test_prune_tables_stay_linear_in_the_listed_sets(self):
+        # One firm lists all 1,023 nonempty subsets of 10 workers, largest
+        # first.  A table of the masks ranked above each option would hold
+        # about half a million entries (a 4.2 MiB peak).
+        workers = [f"w{j}" for j in range(10)]
+        sets = [fs(c) for k in range(10, 0, -1) for c in combinations(workers, k)]
+        m = DiscreteMarket(
+            firms={"f"},
+            workers=set(workers),
+            firm_prefs={"f": tuple(sets)},
+            worker_prefs={w: ("f",) for w in workers},
+        )
+        tracemalloc.start()
+        try:
+            found = enumerate_stable_matchings(m, limit=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == [DiscreteMatching(assignment=dict.fromkeys(workers, "f"))]
+        assert peak < 2 * 2**20
 
     def test_pruned_prefixes_have_no_stable_completion(self, monkeypatch):
         pruned = []

@@ -17,8 +17,10 @@ from matchkit import (
 from matchkit.generator import (
     GenParams,
     SplitMix64,
+    _denominators,
     _names,
     _sample_sets,
+    _value,
     gen_discrete_market,
     gen_roadmap_instance,
     gen_tu_market,
@@ -64,7 +66,7 @@ class TestSplitMix64:
     def test_fraction_respects_range_and_denominator(self):
         g = SplitMix64(5)
         for _ in range(100):
-            v = g.fraction(F(-2), F(3))
+            v = _value(g, _denominators(F(-2), F(3)))
             assert F(-2) <= v <= F(3)
             assert v.denominator <= 8
 
@@ -398,7 +400,7 @@ class TestAgainstReferenceGenerator:
         a, b = SplitMix64(3), SplitMix64(3)
         for lo, hi in ((F(0), F(10)), (F(-1, 2), F(7, 3)), (F(1, 3), F(1, 3))):
             for _ in range(50):
-                assert a.fraction(lo, hi) == reference_fraction(b, lo, hi)
+                assert _value(a, _denominators(lo, hi)) == reference_fraction(b, lo, hi)
         assert a.next_u64() == b.next_u64()
 
 

@@ -11,9 +11,6 @@ from matchkit import (
     build_hypergraph,
     canonical_cycle,
     check_balanced,
-    cycle_incidence_matrix,
-    enumerate_cycles,
-    incidence_matrix,
     is_cycle,
     is_nontrivial_odd,
 )
@@ -21,7 +18,12 @@ from matchkit import DiscreteMarket, TuMarket, io
 from matchkit.cli import main
 from matchkit.errors import WorkBudgetExceeded
 from matchkit.generator import GenParams, SplitMix64, gen_discrete_market, gen_tu_market
+from matchkit import hypergraph
 from matchkit.hypergraph import iter_cycles
+
+import cycle_oracles
+from cycle_oracles import cycle_incidence_matrix, enumerate_cycles, incidence_matrix
+from golden import SUITE_PARAMS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -301,12 +303,11 @@ class TestBipartiteShortcut:
     @pytest.mark.parametrize("market", UNIT_DEMAND, ids=lambda m: f"{len(m.firms)}x{len(m.workers)}")
     def test_agrees_with_the_full_search(self, market):
         h = build_hypergraph(market)
-        # The search without odd_only takes no shortcut.
-        searched = list(iter_cycles(h))
+        # The oracle's search of all cycles takes no shortcut.
+        searched = list(cycle_oracles.iter_cycles(h))
         assert searched
         assert not [c for c in searched if len(c) % 2]
-        assert list(iter_cycles(h, odd_only=True, budget=0)) == []
-        assert list(iter_cycles(h, odd_only=True, nontrivial_only=True, budget=0)) == []
+        assert list(iter_cycles(h, budget=0)) == []
         assert check_balanced(h, budget=0).balanced
 
     def test_large_assignment_game_balance_needs_no_budget(self, tmp_path, capsys):
@@ -346,6 +347,84 @@ class TestBipartiteShortcut:
         assert v.balanced == (witness is None)
         if witness is not None:
             assert (v.witness.vertices, v.witness.edges) == witness
+
+
+def _run(search) -> tuple[list[HyperCycle], str | None]:
+    """The cycles a search yields, and its budget error if it stops on one."""
+    found = []
+    try:
+        for c in search:
+            found.append(c)
+    except WorkBudgetExceeded as e:
+        return found, str(e)
+    return found, None
+
+
+def _differential_markets():
+    for seed in range(500):
+        params = GenParams(seed=seed, **SUITE_PARAMS)
+        yield f"suite-tu-{seed}", gen_tu_market(params)
+        yield f"suite-discrete-{seed}", gen_discrete_market(params)
+    # The shapes TestCheckBalanced searches, with their seeds.
+    for seed in range(80):
+        yield f"4x5-{seed}", gen_discrete_market(GenParams(
+            seed=seed, firm_count=4, worker_count=5,
+            max_acceptable_sets_per_firm=3, max_set_size=3))
+        yield f"4x4-{seed}", gen_discrete_market(GenParams(
+            seed=seed, firm_count=4, worker_count=4,
+            max_acceptable_sets_per_firm=3, max_set_size=3))
+        yield f"3x5-tu-{seed}", gen_tu_market(GenParams(
+            seed=seed, firm_count=3, worker_count=5,
+            max_acceptable_sets_per_firm=3, max_set_size=3))
+        yield f"unit-{seed}", gen_discrete_market(GenParams(
+            seed=seed, firm_count=4, worker_count=5,
+            max_acceptable_sets_per_firm=4, max_set_size=1))
+    for market in TestBipartiteShortcut.UNIT_DEMAND:
+        yield f"game-{len(market.firms)}x{len(market.workers)}", market
+
+
+class TestAgainstTheFourModeSearch:
+    """``iter_cycles`` is the four-mode search of ``cycle_oracles`` in its
+    nontrivial odd mode: the same cycles in the same order, the same
+    budget steps, and the same prefix before a budget exit."""
+
+    MARKETS = list(_differential_markets())
+
+    def test_same_cycles_and_steps(self, monkeypatch):
+        spent = []
+
+        class Recorded(hypergraph._Budget):
+            __slots__ = ()
+
+            def __init__(self, steps, search):
+                super().__init__(steps, search)
+                spent.append(self)
+
+        monkeypatch.setattr(hypergraph, "_Budget", Recorded)
+        monkeypatch.setattr(cycle_oracles, "_Budget", Recorded)
+        with_cycles = 0
+        for name, market in self.MARKETS:
+            h = build_hypergraph(market)
+            spent.clear()
+            got = list(iter_cycles(h))
+            want = list(cycle_oracles.iter_cycles(h, odd_only=True, nontrivial_only=True))
+            assert got == want, name
+            assert [b.left for b in spent[:1]] == [b.left for b in spent[1:]], name
+            with_cycles += bool(got)
+        assert with_cycles > 500
+
+    @pytest.mark.parametrize("budget", [0, 5, 50, 500])
+    def test_same_prefix_and_error_under_a_small_budget(self, budget):
+        exits = 0
+        for name, market in self.MARKETS:
+            h = build_hypergraph(market)
+            got = _run(iter_cycles(h, budget=budget))
+            want = _run(
+                cycle_oracles.iter_cycles(h, odd_only=True, nontrivial_only=True, budget=budget)
+            )
+            assert got == want, name
+            exits += got[1] is not None
+        assert exits > 0
 
 
 class TestIncidence:

@@ -338,6 +338,14 @@ class TestCmdSolveDiscrete:
             "error: start matching names unknown agents: [('w9', 'f1'), ('w2', 'f9')]\n",
         )
 
+    @pytest.mark.parametrize("start", [["--start", "START"], ["--start=START"], ["--first", "--start", "START"]])
+    def test_start_without_dynamics_reads_no_file(self, capsys, tmp_path, start):
+        # Neither file exists: the option error comes before any read.
+        missing = str(tmp_path / "missing.json")
+        argv = ["solve-discrete", missing] + [w.replace("START", missing) for w in start]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --start needs --dynamics\n")
+
     @pytest.mark.parametrize("max_steps", ["0", "1"])
     def test_dynamics_stable_start_with_few_steps(self, capsys, tmp_path, max_steps):
         start = tmp_path / "start.json"

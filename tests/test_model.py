@@ -8,7 +8,6 @@ from matchkit import (
     TuMarket,
     TuMatching,
     choice,
-    coalition_value,
     satisfactory_sets,
     tu_utilities,
     validate_market,
@@ -16,6 +15,8 @@ from matchkit import (
 from matchkit.errors import InvalidMarketError, WorkBudgetExceeded
 from matchkit.generator import GenParams, gen_discrete_market
 from matchkit.model import _Budget, iter_disjoint_assignments, set_key
+
+from lp_oracles import coalition_value
 
 fs = frozenset
 

@@ -26,7 +26,6 @@ from matchkit import (
     HyperCycle,
     IntMatrix,
     Prop1Verdict,
-    Prop2Report,
     Roadmap,
     SpecializationResult,
     TechnologyPath,
@@ -89,7 +88,6 @@ SAMPLES = {
     HyperCycle: _cycle,
     IntMatrix: lambda: IntMatrix(rows=("w1",), cols=("(1,)",), entries=((1,),)),
     Prop1Verdict: _prop1,
-    Prop2Report: lambda: Prop2Report(tu_verdict=_tu_verdict(), prop1=_prop1(), consistent=True),
     Roadmap: lambda: Roadmap(
         technologies=["a", "b"], edges=[["a", "b"]], demanded={"a": ["w1"], "b": ["w2"]}
     ),

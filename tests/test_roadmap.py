@@ -16,12 +16,19 @@ from matchkit import (
 from matchkit import cli
 from matchkit.errors import SizeGuardExceeded, WorkBudgetExceeded
 from matchkit.generator import GenParams, gen_roadmap_instance
-from matchkit.model import SizeGuard
-from matchkit.roadmap import TechnologyPath, iter_specializations, technology_paths
+from matchkit.model import DEFAULT_BUDGET, SizeGuard
+from matchkit.roadmap import TechnologyPath, _covering_paths, _disjoint_covers, technology_paths
 
 from golden import SUITE_PARAMS
 
 fs = frozenset
+
+
+def iter_specializations(m, r, budget=DEFAULT_BUDGET):
+    """Every collection of vertex-disjoint technology paths covering the
+    firms' acceptable sets, in the order ``check_specialized`` searches
+    them, as a firm -> path dict."""
+    return _disjoint_covers(_covering_paths(m, r), budget)
 
 
 def specialization_oracle(m, r):

@@ -27,10 +27,11 @@ from matchkit.errors import (
 )
 from matchkit.generator import GenParams, gen_tu_market
 from matchkit.io import load_market
-from matchkit.model import DEFAULT_BUDGET, _Budget, coalition_value, iter_disjoint_assignments
+from matchkit.model import DEFAULT_BUDGET, _Budget, iter_disjoint_assignments
 from matchkit.simplex import simplex_max
 
 from golden import SUITE_PARAMS, assignment_game, tied_game
+from lp_oracles import coalition_value
 
 F = Fraction
 fs = frozenset
