@@ -35,7 +35,6 @@ from .hypergraph import (
     HyperCycle,
     IntMatrix,
     build_hypergraph,
-    canonical_cycle,
     check_balanced,
     is_cycle,
     is_nontrivial_odd,

@@ -9,8 +9,9 @@ fact dictionary, so they always carry identical content.  The environment
 variable MATCHKIT_BUDGET overrides the default work budget of the exhaustive
 searches when no ``--budget`` flag is given; it is read on every ``main``
 call, while the argument parser is built once per process.  A budget that
-is not an integer, a negative budget or ``--max-steps``, and ``--start``
-without ``--dynamics`` exit 2 before any file is read.
+is not an integer, a negative budget or ``--max-steps``, ``--start``
+without ``--dynamics``, and ``--roadmap-out`` outside ``gen roadmap`` exit 2
+before any file is read or written.  A closed stdout exits 2 as well.
 
 Each input is checked once, where it enters: ``io.load_market`` builds the
 market, and the market constructors reject an invalid one with every
@@ -182,7 +183,7 @@ def cmd_solve_discrete(args) -> int:
     if not isinstance(market, DiscreteMarket):
         raise MarketFormatError("solve-discrete needs a discrete market file")
     if args.dynamics:
-        if args.start:
+        if args.start is not None:
             start = io.parse_matching(io.load_json(args.start, inputs), "discrete")
             unknown = [
                 (w, f)
@@ -481,6 +482,9 @@ def main(argv=None) -> int:
     if getattr(args, "start", None) is not None and not args.dynamics:
         print("error: --start needs --dynamics", file=sys.stderr)
         return EXIT_INPUT
+    if getattr(args, "roadmap_out", None) is not None and args.kind != "roadmap":
+        print("error: --roadmap-out needs gen roadmap", file=sys.stderr)
+        return EXIT_INPUT
     # The handler is looked up by name on each call, not bound in the cached
     # parser, so a wrapper later installed on a cmd_* attribute still runs.
     handler = globals()["cmd_" + args.command.replace("-", "_")]
@@ -498,7 +502,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as e:
+        # The reader closed stdout.  Point it at devnull so that the flush
+        # at exit stays quiet, and report it as an unwritable output.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {e}", file=sys.stderr)
+        code = EXIT_INPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,11 +6,15 @@ cyclic alternating sequence of distinct vertices and distinct edges; it is a
 nontrivial odd-length cycle when the edge count is odd and every edge meets
 exactly two cycle vertices.  A hypergraph with no such cycle is balanced.
 
-The cycle search yields nontrivial odd cycles only; it decides
+The cycle search yields nontrivial odd cycles only, each once; it decides
 balancedness by exhaustive search over alternating sequences (desk-scale
 instances), with a work budget so a blown-up search surfaces as an error
-rather than a wrong verdict.  When every edge has at most one worker the
-hypergraph is a bipartite graph and the search returns at once.
+rather than a wrong verdict.  The search holds only its path, so its memory
+grows with the path, not with the cycles found.  The witness of an
+unbalanced verdict is the first cycle in DFS order, written from its least
+vertex with the smaller of that vertex's neighbours second.  When every edge
+has at most one worker the hypergraph is a bipartite graph and the search
+returns at once.
 """
 
 from __future__ import annotations
@@ -121,36 +125,19 @@ def is_nontrivial_odd(h: FirmWorkerHypergraph, c: HyperCycle) -> bool:
     return all(len(h.edge_members(i) & on_cycle) == 2 for i in c.edges)
 
 
-def canonical_cycle(c: HyperCycle) -> HyperCycle:
-    """Normal form under rotation and reflection: the representation with
-    the lexicographically least (vertex sequence, edge sequence) pair."""
-    k = len(c.edges)
-    best = None
-    for verts, edges in ((c.vertices, c.edges), _reflect(c)):
-        for r in range(k):
-            cand = (verts[r:] + verts[:r], edges[r:] + edges[:r])
-            if best is None or cand < best:
-                best = cand
-    return HyperCycle(vertices=best[0], edges=best[1])
-
-
-def _reflect(c: HyperCycle) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    # Reversing direction keeps vertex 0 first; edge i of the reflected
-    # cycle connects its vertices i and i+1.
-    verts = (c.vertices[0],) + tuple(reversed(c.vertices[1:]))
-    edges = tuple(reversed(c.edges))
-    return verts, edges
-
-
 def iter_cycles(h: FirmWorkerHypergraph, budget: int = DEFAULT_BUDGET):
-    """Lazily yield the nontrivial odd cycles (canonical forms, deduplicated)
-    in DFS order; callers that stop early only pay for the search up to that
-    point.
+    """Lazily yield the nontrivial odd cycles in DFS order, each once, from
+    the least vertex with the smaller neighbour second; callers that stop
+    early only pay for the search up to that point.
 
-    Each search path starts at its least vertex, so a cycle is discovered
-    from exactly one starting vertex (once per direction).  Edges on the
-    partial path are kept at exactly two path vertices: adding vertices never
-    shrinks an intersection, so any excess is final.
+    Each search path starts at its least vertex.  Edges on the partial path
+    are kept at exactly two path vertices: adding vertices never shrinks an
+    intersection, so any excess is final.  Every edge of a nontrivial cycle
+    meets exactly two of its vertices, so both directions pass every test
+    the search makes: it meets the cycle once from each end.  The two start
+    with different edges and ``by_vertex`` lists edges in ascending order,
+    so the direction whose first edge is the lower index, the one whose
+    closing edge is above its first, comes first; it alone is yielded.
     """
     if all(len(s) <= 1 for _, s in h.edges):
         # Consecutive cycle vertices share an edge, so a cycle of length
@@ -166,8 +153,6 @@ def iter_cycles(h: FirmWorkerHypergraph, budget: int = DEFAULT_BUDGET):
         for v in ms:
             by_vertex[v].append(i)
 
-    seen: set[HyperCycle] = set()
-
     def extend(start, path_v, path_e, used_v, used_e):
         cur = path_v[-1]
         for e in by_vertex[cur]:
@@ -178,11 +163,10 @@ def iter_cycles(h: FirmWorkerHypergraph, budget: int = DEFAULT_BUDGET):
             # Close the cycle back to the start vertex.
             if len(path_v) % 2 == 1 and overlap == 2 and start in members[e]:
                 cand = HyperCycle(tuple(path_v), tuple(path_e) + (e,))
-                if is_nontrivial_odd(h, cand):
-                    canon = canonical_cycle(cand)
-                    if canon not in seen:
-                        seen.add(canon)
-                        yield canon
+                if is_nontrivial_odd(h, cand) and path_e[0] < e:
+                    if path_v[1] > path_v[-1]:
+                        cand = HyperCycle((start, *path_v[:0:-1]), cand.edges[::-1])
+                    yield cand
             if overlap > 1:
                 # e already meets two path vertices; a third is inevitable
                 # if we extend through it.

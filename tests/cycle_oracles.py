@@ -1,8 +1,9 @@
 """The cycle search as it was before it served only the nontrivial odd
 mode: ``iter_cycles`` with its ``odd_only`` and ``nontrivial_only`` flags,
-``enumerate_cycles`` over it, and the vertex-by-edge incidence matrices.
-Kept verbatim as oracles for the differential tests in
-``test_hypergraph.py`` and for the tests of Example 1's trivial odd cycle."""
+``enumerate_cycles`` over it, the vertex-by-edge incidence matrices, and
+``canonical_cycle``, the normal form its dedup compares.  Kept verbatim as
+oracles for the differential tests in ``test_hypergraph.py`` and for the
+tests of Example 1's trivial odd cycle."""
 
 from __future__ import annotations
 
@@ -10,10 +11,30 @@ from matchkit.hypergraph import (
     FirmWorkerHypergraph,
     HyperCycle,
     IntMatrix,
-    canonical_cycle,
     is_nontrivial_odd,
 )
 from matchkit.model import DEFAULT_BUDGET, _Budget
+
+
+def canonical_cycle(c: HyperCycle) -> HyperCycle:
+    """Normal form under rotation and reflection: the representation with
+    the lexicographically least (vertex sequence, edge sequence) pair."""
+    k = len(c.edges)
+    best = None
+    for verts, edges in ((c.vertices, c.edges), _reflect(c)):
+        for r in range(k):
+            cand = (verts[r:] + verts[:r], edges[r:] + edges[:r])
+            if best is None or cand < best:
+                best = cand
+    return HyperCycle(vertices=best[0], edges=best[1])
+
+
+def _reflect(c: HyperCycle) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    # Reversing direction keeps vertex 0 first; edge i of the reflected
+    # cycle connects its vertices i and i+1.
+    verts = (c.vertices[0],) + tuple(reversed(c.vertices[1:]))
+    edges = tuple(reversed(c.edges))
+    return verts, edges
 
 
 def iter_cycles(

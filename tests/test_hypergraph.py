@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -9,7 +10,6 @@ from matchkit import (
     FirmWorkerHypergraph,
     HyperCycle,
     build_hypergraph,
-    canonical_cycle,
     check_balanced,
     is_cycle,
     is_nontrivial_odd,
@@ -22,7 +22,12 @@ from matchkit import hypergraph
 from matchkit.hypergraph import iter_cycles
 
 import cycle_oracles
-from cycle_oracles import cycle_incidence_matrix, enumerate_cycles, incidence_matrix
+from cycle_oracles import (
+    canonical_cycle,
+    cycle_incidence_matrix,
+    enumerate_cycles,
+    incidence_matrix,
+)
 from golden import SUITE_PARAMS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -360,6 +365,20 @@ def _run(search) -> tuple[list[HyperCycle], str | None]:
     return found, None
 
 
+def all_sets_market(n_firms: int, n_workers: int) -> TuMarket:
+    """Every firm lists every 1- and 2-worker set: a dense hypergraph with
+    thousands of nontrivial odd cycles, each met from both ends."""
+    workers = [f"w{j}" for j in range(n_workers)]
+    sets = [fs(c) for k in (1, 2) for c in combinations(workers, k)]
+    firms = [f"f{i}" for i in range(n_firms)]
+    return TuMarket(
+        firms=set(firms),
+        workers=set(workers),
+        firm_valuations={f: dict.fromkeys(sets, 1) for f in firms},
+        worker_valuations={w: dict.fromkeys(firms, 0) for w in workers},
+    )
+
+
 def _differential_markets():
     for seed in range(500):
         params = GenParams(seed=seed, **SUITE_PARAMS)
@@ -381,6 +400,8 @@ def _differential_markets():
             max_acceptable_sets_per_firm=4, max_set_size=1))
     for market in TestBipartiteShortcut.UNIT_DEMAND:
         yield f"game-{len(market.firms)}x{len(market.workers)}", market
+    # 25,206 cycles in 1.2 million steps.
+    yield "all-sets-3x5", all_sets_market(3, 5)
 
 
 class TestAgainstTheFourModeSearch:
@@ -425,6 +446,32 @@ class TestAgainstTheFourModeSearch:
             assert got == want, name
             exits += got[1] is not None
         assert exits > 0
+
+    @pytest.mark.parametrize(
+        "shape, budget", [((3, 5), 2_000), ((3, 5), 100_000), ((3, 6), 200_000)]
+    )
+    def test_same_prefix_on_an_all_sets_market(self, shape, budget):
+        h = build_hypergraph(all_sets_market(*shape))
+        got = _run(iter_cycles(h, budget=budget))
+        want = _run(
+            cycle_oracles.iter_cycles(h, odd_only=True, nontrivial_only=True, budget=budget)
+        )
+        assert got == want
+        assert got[0] and got[1] is not None
+
+    def test_search_memory_grows_with_the_path(self):
+        # Nothing is kept per cycle found: the 6,949 cycles before this
+        # budget exit leave the peak where the path puts it.
+        h = build_hypergraph(all_sets_market(3, 6))
+        tracemalloc.start()
+        try:
+            with pytest.raises(WorkBudgetExceeded):
+                for _ in iter_cycles(h, budget=200_000):
+                    pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
 
 
 class TestIncidence:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -346,6 +347,15 @@ class TestCmdSolveDiscrete:
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: --start needs --dynamics\n")
 
+    @pytest.mark.parametrize("start", [["--start", ""], ["--start="]])
+    def test_dynamics_reads_an_empty_start_path(self, capsys, start):
+        argv = ["solve-discrete", fixture("intro_discrete.json"), "--dynamics"] + start
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot read : ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("max_steps", ["0", "1"])
     def test_dynamics_stable_start_with_few_steps(self, capsys, tmp_path, max_steps):
         start = tmp_path / "start.json"
@@ -521,6 +531,16 @@ class TestCmdGen:
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
+
+    @pytest.mark.parametrize("kind", ["tu", "discrete"])
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_roadmap_out_needs_gen_roadmap(self, tmp_path, capsys, kind, joined):
+        # The joined form goes through argparse; neither file is written.
+        out, rm = tmp_path / "a.json", tmp_path / "b.json"
+        flag = [f"--roadmap-out={rm}"] if joined else ["--roadmap-out", str(rm)]
+        assert main(["gen", kind, "--seed", "0", "--out", str(out)] + flag) == 2
+        assert capsys.readouterr() == ("", "error: --roadmap-out needs gen roadmap\n")
+        assert not out.exists() and not rm.exists()
 
     @pytest.mark.parametrize("bound", ["1e30", "1e5000"])
     def test_wide_value_range_reaches_its_upper_half(self, tmp_path, digit_limit, bound):
@@ -706,6 +726,29 @@ class TestReportRendering:
         assert main(["balance", fixture("example1_tu.json")]) == 0
         assert len(calls) == 1
         capsys.readouterr()
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # The read end is closed before the command starts, so its write to
+    # stdout fails whatever the timing; the verdict itself is balanced (0).
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", "from matchkit.cli import entry; entry()",
+             "balance", fixture("marriage.json"), "--format", "json"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={"PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_worked_examples_script_runs():

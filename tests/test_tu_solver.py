@@ -525,7 +525,7 @@ print("exit", cli.main(["solve-tu", sys.argv[1]]))
     def test_wrong_prices_raise_under_optimize(self, fault, name):
         src = str(Path(matchkit.__file__).parents[1])
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", self.FAULTY_PRICES.replace("FAULT", fault),
+            [sys.executable, "-B", "-O", "-c", self.FAULTY_PRICES.replace("FAULT", fault),
              str(FIXTURES / name)],
             capture_output=True,
             text=True,
