@@ -14,16 +14,16 @@ and prunes them with a forward version of the same test: a partial
 assignment in which some placed firm blocks every completion is not
 extended, and its pruned subtree spends no budget steps.  Every candidate
 that survives is still verified by check_stable_discrete.  The prune works
-on bitmasks built once per enumeration: a bit per worker, per firm the
-masks of its listed sets, and per option its rank among them; a firm blocks
-when one of the masks ranked above its option lies inside the mask of its
-pool.
+on worker bitmasks packed in one integer, a lane per firm, and keeps per
+slot the state the next slot extends; a firm blocks when the rank of its
+choice from its pool, memoized per firm by pool mask, beats its option's.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
+from .errors import InvalidMarketError
 from .model import (
     DEFAULT_BUDGET,
     DiscreteMarket,
@@ -35,6 +35,7 @@ from .model import (
     iter_disjoint_assignments,
     satisfactory_sets,
     set_key,
+    validate_assignment,
 )
 
 
@@ -137,6 +138,10 @@ def _blocking_coalition(m: DiscreteMarket, mu: DiscreteMatching, staff):
 def check_stable_discrete(
     m: DiscreteMarket, mu: DiscreteMatching
 ) -> DiscreteStabilityVerdict:
+    """Rationality plus no blocking firm; unknown agents raise InvalidMarketError."""
+    problems = validate_assignment(m, mu.assignment)
+    if problems:
+        raise InvalidMarketError("; ".join(problems))
     staff = _staff(mu)
     ir = _ir_violations(m, mu, staff)
     block = _blocking_coalition(m, mu, staff)
@@ -161,9 +166,11 @@ def enumerate_stable_matchings(
     is not extended, and its subtree spends no budget steps.  The surviving
     candidates keep their DFS order, so the result is the one the unpruned
     search gives.  With ``limit`` the search stops after that many hits (DFS
-    order); otherwise the full list is returned sorted by assignment.  The
-    search spends at most ``budget`` steps.
+    order), and a ``limit`` below 1 raises ``ValueError``; otherwise the full
+    list is returned sorted by assignment.  It spends at most ``budget`` steps.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     check_guard(m)
     firms = sorted(m.firms)
     options = []
@@ -202,48 +209,91 @@ def _forward_blocking(m: DiscreteMarket, firms: list[str], options):
     it).  L_g lies inside T_g in every completion, and Ch_g picks the best
     listed set inside its argument, so if one of the sets g ranks above its
     own lies in L_g, g blocks every completion.  No substitutability is assumed.
+
+    Pools sit in lanes of one integer, lane k a worker mask for firms[k].  A
+    call at slot i extends slot i - 1's state (the assigned workers in every
+    lane; the assigned-and-sure pools, where slot i's workers join the lanes
+    of the firms they weakly prefer to firms[i]); a table per depth gives the
+    unassigned part, and a memo per firm maps a pool mask to its choice's
+    rank.  In DFS order the latest calls below slot i returned false, and an
+    older lane only gains workers from slot i - 1 to i (a worker slot i hires
+    was in it only if it ranks that firm above firms[i]): only a changed lane
+    can newly block.
     """
-    workers = sorted(m.workers)
-    bit = {w: 1 << j for j, w in enumerate(workers)}
-    rank = {w: {f: r for r, f in enumerate(m.worker_prefs.get(w, ()))} for w in workers}
-    # accept[k]: (worker, bit, its rank of firms[k]) for the workers listing it.
-    accept = [[(w, bit[w], rank[w][f]) for w in workers if f in rank[w]] for f in firms]
-    # masks[k]: the masks of the sets firms[k] lists, best first;
-    # ranks[k][S]: how many of them it ranks above its option S.
-    masks, ranks = [], []
-    for f in firms:
-        prefs = m.firm_prefs.get(f, ())
-        masks.append([sum(bit[w] for w in s) for s in prefs])
-        ranks.append({s: r for r, s in enumerate(prefs)} | {frozenset(): len(prefs)})
-    # open_top[i][w]: the worst rank of a firm that an unassigned w prefers
-    # to staying unmatched and to every later slot that can hire it.
-    open_top = [None] * len(firms)
-    top = {w: len(rank[w]) - 1 for w in workers}
-    for i in range(len(firms) - 1, -1, -1):
-        open_top[i] = dict(top)
+    n, width = len(firms), len(m.workers)
+    full = (1 << width) - 1
+    bit = {w: 1 << j for j, w in enumerate(sorted(m.workers))}
+    lane = {f: k * width for k, f in enumerate(firms)}
+    every = sum(1 << s for s in lane.values())  # mask * every: the mask in every lane
+    # upto[w][f]: w's bit in the lanes of f and the firms w ranks above f; reach[w]:
+    # in those of the firms it prefers to being unmatched and to later slots.
+    upto, reach = {}, {}
+    for w, b in bit.items():
+        acc, upto[w] = 0, {}
+        for f in m.worker_prefs.get(w, ()):
+            acc |= b << lane[f]
+            upto[w][f] = acc
+        reach[w] = acc
+    # open_pools[i]: every worker's reach over the slots after i.
+    open_pools = [0] * n
+    for i in range(n - 1, -1, -1):
+        open_pools[i] = sum(reach.values())
         f = firms[i]
         for key, _ in options[i]:
-            for w in key:
-                top[w] = min(top[w], rank[w][f] - 1)
+            for w in key:  # both are prefixes of w's list, so min is the shorter
+                reach[w] = min(reach[w], upto[w][f] ^ bit[w] << lane[f])
+    # masks[k]: the masks of firms[k]'s list; memo[k][pool]: its choice's rank.
+    masks = [[sum(bit[w] for w in s) for s in m.firm_prefs.get(f, ())] for f in firms]
+    memo = [{} for _ in firms]
+
+    def choice_rank(k, pool):
+        r = 0
+        for b in masks[k]:
+            if not b & ~pool:
+                break
+            r += 1
+        memo[k][pool] = r
+        return r
+
+    # table[i][S], built on first use: S's mask in every lane, its workers'
+    # upto lanes at firms[i], and its rank there.  Slot i's state: held[i + 1],
+    # sure[i + 1], pooled[i + 1] (every lane's pool), rank[i] (its option's).
+    table = [{} for _ in firms]
+    held, sure, pooled, rank = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1), [0] * n
 
     def blocked(i: int, picked) -> bool:
-        top = dict(open_top[i])
-        for k in range(i + 1):
-            f = firms[k]
-            for w in picked[k]:
-                top[w] = rank[w][f]  # an assigned worker: its rank of its own firm
-        for k in range(i + 1):
-            above = ranks[k][picked[k]]
-            if not above:
-                continue
-            pool = 0
-            for w, b, r in accept[k]:
-                if r <= top[w]:
-                    pool |= b
-            for b in masks[k][:above]:
-                if not b & ~pool:
+        s = picked[i]
+        entry = table[i].get(s)
+        if entry is None:
+            f = firms[i]
+            mask = pref = 0
+            for w in s:
+                mask |= bit[w]
+                pref |= upto[w][f]
+            above = m.firm_prefs[f].index(s) if s else len(masks[i])
+            entry = table[i][s] = (mask * every, pref, above)
+        spread, pref, above = entry
+        rank[i] = above
+        held[i + 1] = assigned = held[i] | spread
+        sure[i + 1] = pref = sure[i] | pref
+        pooled[i + 1] = pools = open_pools[i] & ~assigned | pref
+        # Test the new lane, then, newest first, the older lanes that changed.
+        k, shift = i, i * width
+        changed = (pools ^ pooled[i]) & ((1 << shift) - 1)
+        while True:
+            if above:
+                pool = pools >> shift & full
+                r = memo[k].get(pool)
+                if r is None:
+                    r = choice_rank(k, pool)
+                if r < above:
                     return True
-        return False
+            if not changed:
+                return False
+            k = (changed.bit_length() - 1) // width
+            shift = k * width
+            changed &= (1 << shift) - 1
+            above = rank[k]
 
     return blocked
 

@@ -131,13 +131,14 @@ def iter_cycles(h: FirmWorkerHypergraph, budget: int = DEFAULT_BUDGET):
     early only pay for the search up to that point.
 
     Each search path starts at its least vertex.  Edges on the partial path
-    are kept at exactly two path vertices: adding vertices never shrinks an
-    intersection, so any excess is final.  Every edge of a nontrivial cycle
-    meets exactly two of its vertices, so both directions pass every test
-    the search makes: it meets the cycle once from each end.  The two start
-    with different edges and ``by_vertex`` lists edges in ascending order,
-    so the direction whose first edge is the lower index, the one whose
-    closing edge is above its first, comes first; it alone is yielded.
+    are kept at exactly two path vertices (adding vertices never shrinks an
+    intersection, so any excess is final), and a closing edge meets only the
+    ends of an odd path: every cycle closed is nontrivial and odd.  Both
+    directions of such a cycle pass every test, so the search meets it once
+    from each end.  The two start with different edges and ``by_vertex``
+    lists edges in ascending order, so the direction whose first edge is the
+    lower index, the one whose closing edge is above its first, comes first;
+    it alone is yielded.
     """
     if all(len(s) <= 1 for _, s in h.edges):
         # Consecutive cycle vertices share an edge, so a cycle of length
@@ -160,13 +161,12 @@ def iter_cycles(h: FirmWorkerHypergraph, budget: int = DEFAULT_BUDGET):
                 continue
             steps.spend()
             overlap = len(members[e] & used_v)
-            # Close the cycle back to the start vertex.
-            if len(path_v) % 2 == 1 and overlap == 2 and start in members[e]:
-                cand = HyperCycle(tuple(path_v), tuple(path_e) + (e,))
-                if is_nontrivial_odd(h, cand) and path_e[0] < e:
-                    if path_v[1] > path_v[-1]:
-                        cand = HyperCycle((start, *path_v[:0:-1]), cand.edges[::-1])
-                    yield cand
+            # Close the cycle back to the start vertex (nontrivial: see above).
+            if len(path_v) % 2 == 1 and overlap == 2 and start in members[e] and path_e[0] < e:
+                if path_v[1] < path_v[-1]:
+                    yield HyperCycle(tuple(path_v), (*path_e, e))
+                else:
+                    yield HyperCycle((start, *path_v[:0:-1]), (e, *path_e[::-1]))
             if overlap > 1:
                 # e already meets two path vertices; a third is inevitable
                 # if we extend through it.

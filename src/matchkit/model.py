@@ -255,7 +255,10 @@ def iter_disjoint_assignments(options, budget: _Budget, prune=None):
     ``picked[:i + 1]`` holds the payloads placed so far (later entries are
     stale, and the hook must not change the list).  A true result skips
     every choice that extends this prefix, and the skipped subtree spends
-    no further steps.  The choices that survive keep their DFS order.
+    no further steps, so the calls come in DFS order: the options at the
+    slots below i are the ones the latest calls there placed, and each of
+    those calls returned false.  The choices that survive keep their DFS
+    order.
     """
     n = len(options)
     if n == 0:
@@ -401,15 +404,21 @@ class DiscreteMatching(_DiscreteMatchingFields):
         return tuple(sorted(self.assignment.items()))
 
 
-def validate_tu_matching(m: TuMarket, mu: TuMatching) -> list[str]:
-    """Type-validity of (mu, p) against the market: known ids and the
-    unmatched-means-zero-price rule."""
+def validate_assignment(m: Market, assignment) -> list[str]:
+    """The unknown ids a matching's worker-to-firm map names."""
     problems = []
-    for w, f in mu.assignment.items():
+    for w, f in assignment.items():
         if w not in m.workers:
             problems.append(f"assignment for unknown worker {w!r}")
         if f not in m.firms:
             problems.append(f"worker {w!r} assigned to unknown firm {f!r}")
+    return problems
+
+
+def validate_tu_matching(m: TuMarket, mu: TuMatching) -> list[str]:
+    """Type-validity of (mu, p) against the market: known ids and the
+    unmatched-means-zero-price rule."""
+    problems = validate_assignment(m, mu.assignment)
     for w, p in mu.prices.items():
         if w not in m.workers:
             problems.append(f"price for unknown worker {w!r}")

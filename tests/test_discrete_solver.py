@@ -17,7 +17,7 @@ from matchkit import (
 )
 from matchkit.cli import main
 from matchkit.discrete_solver import BlockingCoalition, IrViolation
-from matchkit.errors import SizeGuardExceeded
+from matchkit.errors import InvalidMarketError, SizeGuardExceeded
 from matchkit.generator import GenParams, gen_discrete_market
 from matchkit.io import load_market, serialize_market, write_json
 from matchkit.model import (
@@ -298,6 +298,25 @@ class TestCheckStable:
         m = DiscreteMarket(firms=set(), workers=set(), firm_prefs={}, worker_prefs={})
         assert check_stable_discrete(m, DiscreteMatching(assignment={})).stable
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (
+                {"ghost": "nofirm"},
+                "assignment for unknown worker 'ghost'; "
+                "worker 'ghost' assigned to unknown firm 'nofirm'",
+            ),
+            ({"ghost": "x1"}, "assignment for unknown worker 'ghost'"),
+            ({"m1": "nofirm"}, "worker 'm1' assigned to unknown firm 'nofirm'"),
+        ],
+    )
+    def test_unknown_agents_are_an_invalid_market_error(self, marriage, extra, message):
+        stable = {"m1": "x1", "m2": "x2"}
+        assert check_stable_discrete(marriage, DiscreteMatching(assignment=stable)).stable
+        with pytest.raises(InvalidMarketError) as e:
+            check_stable_discrete(marriage, DiscreteMatching(assignment=stable | extra))
+        assert str(e.value) == message
+
 
 class TestEnumerate:
     def test_market1_empty(self, market1):
@@ -344,6 +363,15 @@ class TestEnumerate:
         found = enumerate_stable_matchings(marriage, limit=1)
         assert len(found) == 1
         assert check_stable_discrete(marriage, found[0]).stable
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_is_refused_before_any_search(self, marriage, limit, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(discrete_solver, "iter_disjoint_assignments", no_search)
+        with pytest.raises(ValueError, match=f"^limit must be at least 1, got {limit}$"):
+            enumerate_stable_matchings(marriage, limit=limit)
 
     def test_guard(self):
         workers = {f"w{i:02d}" for i in range(13)}
@@ -404,6 +432,35 @@ class TestForwardBlockingPrune:
         assert found == [DiscreteMatching(assignment=dict.fromkeys(workers, "f"))]
         assert peak < 2 * 2**20
 
+    def test_each_call_extends_the_latest_calls_below_its_slot(self, monkeypatch):
+        # The prune keeps state per slot and reads slot i - 1's at slot i:
+        # the options at the slots below i must be the ones the latest calls
+        # there placed, and each of those calls must have returned false.
+        calls = []
+
+        def spy(options, budget, prune):
+            def recorded(i, picked):
+                hit = prune(i, picked)
+                calls.append((i, tuple(picked[: i + 1]), hit))
+                return hit
+
+            return iter_disjoint_assignments(options, budget, recorded)
+
+        monkeypatch.setattr(discrete_solver, "iter_disjoint_assignments", spy)
+        markets = [load_market(FIXTURES / name) for name in DISCRETE_FIXTURES]
+        markets += [gen_discrete_market(GenParams(seed=seed, **SUITE_PARAMS)) for seed in range(40)]
+        markets += [complete_marriage_market(4, 5, seed) for seed in range(3)]
+        deep = 0
+        for m in markets:
+            calls.clear()
+            enumerate_stable_matchings(m)
+            latest = {}
+            for i, prefix, hit in calls:
+                assert [latest[k] for k in range(i)] == [(s, False) for s in prefix[:i]]
+                latest[i] = (prefix[i], hit)
+                deep += i > 0
+        assert deep > 0
+
     def test_pruned_prefixes_have_no_stable_completion(self, monkeypatch):
         pruned = []
 
@@ -448,7 +505,9 @@ class TestStabilityTestsAgainstOracles:
     on every probe matching."""
 
     @staticmethod
-    def agree(m, monkeypatch, kinds):
+    def prune_agrees(m, monkeypatch, limit=None):
+        """The prune's verdict against the oracle's at every prefix the
+        enumeration visits; returns the number of visits."""
         visits = 0
 
         def spy(options, budget, prune):
@@ -464,7 +523,12 @@ class TestStabilityTestsAgainstOracles:
             return iter_disjoint_assignments(options, budget, both)
 
         monkeypatch.setattr(discrete_solver, "iter_disjoint_assignments", spy)
-        enumerate_stable_matchings(m)
+        enumerate_stable_matchings(m, limit=limit)
+        return visits
+
+    @classmethod
+    def agree(cls, m, monkeypatch, kinds):
+        visits = cls.prune_agrees(m, monkeypatch)
         for mu in probe_matchings(m):
             ir = oracle_is_individually_rational(m, mu)
             assert is_individually_rational(m, mu) == ir
@@ -498,6 +562,28 @@ class TestStabilityTestsAgainstOracles:
     def test_generated_markets(self, params, monkeypatch):
         markets = [gen_discrete_market(GenParams(seed=seed, **params)) for seed in range(200)]
         assert len(self.check(markets, monkeypatch)) == 3
+
+    @pytest.mark.parametrize("shape", [(5, 7), (6, 6)], ids=["5x7", "6x6"])
+    def test_unit_demand_shapes(self, shape, monkeypatch):
+        # The shapes of the largest complete marriage markets the benchmark
+        # enumerates, where the search goes deepest.
+        visits = [
+            self.prune_agrees(complete_marriage_market(*shape, seed), monkeypatch)
+            for seed in range(3)
+        ]
+        assert sum(visits) > 400
+
+    def test_multi_worker_sets_and_partial_lists_under_a_limit(self, monkeypatch):
+        params = dict(firm_count=5, worker_count=7, max_acceptable_sets_per_firm=6,
+                      max_set_size=3, acceptability_density=0.6)
+        stopped_early = 0
+        for seed in range(40):
+            m = gen_discrete_market(GenParams(seed=seed, **params))
+            assert any(len(m.worker_prefs.get(w, ())) < len(m.firms) for w in m.workers)
+            assert any(len(s) > 1 for prefs in m.firm_prefs.values() for s in prefs)
+            visits = self.prune_agrees(m, monkeypatch, limit=1)
+            stopped_early += visits < self.prune_agrees(m, monkeypatch)
+        assert stopped_early > 0
 
 
 # The least --budget under which ``solve-discrete --all`` answers (one step
