@@ -4,14 +4,18 @@ Solves  max c.x  subject to  A x <= b,  x >= 0  with Bland's smallest-index
 anti-cycling rule, starting from the slack basis.  That basis is feasible
 only when b >= 0, so there is no phase 1 and a negative right-hand side
 raises ValueError; matchkit's programs are coverage programs, with b all
-ones.  With ``lex_duals`` the leaving row is chosen by the lexicographic
-rule of Dantzig, Orden & Wolfe (1955) instead: ratio ties are broken on the
-rows of B^-1 (the slack columns), as if the i-th right-hand side were
-raised by eps^i.  The final basis is then optimal for that perturbed
-program, so its duals are the lexicographically least optimal dual point:
-least b.y, then least y_1, then y_2 and so on.  A solve is not certified:
-the caller certifies the pair of points it reports with ``certify`` (primal
-and dual feasibility, equal objective values), once.
+ones.  With ``lex_duals`` a lexicographic dual phase follows Bland's
+optimum.  It repairs the basis for the program perturbed as if the i-th
+right-hand side were raised by eps^i, the perturbation behind the
+lexicographic rule of Dantzig, Orden & Wolfe (1955): a row with a zero
+right-hand side whose row of B^-1 (its slack columns) is lexicographically
+negative is pivoted out by the dual simplex under Bland's rule (Bland
+1977), which is finite.  The point x and its value stay Bland's, and the
+final basis is optimal for the perturbed program, so its duals are the
+lexicographically least optimal dual point: least b.y, then least y_1,
+then y_2 and so on.  A solve is not certified: the caller certifies the
+pair of points it reports with ``certify`` (primal and dual feasibility,
+equal objective values), once.
 
 Inputs may be ``int`` or ``Fraction``; outputs are ``Fraction``.  Inside,
 each tableau row (and each reduced-cost row) is a list of ``int``
@@ -44,6 +48,7 @@ class LpResult(NamedTuple):
     value: Fraction
     x: list[Fraction]
     duals: list[Fraction]
+    dual_pivots: int = 0  # pivots of the lexicographic dual phase
 
 
 def _scaled(values) -> tuple[list[int], int]:
@@ -74,11 +79,12 @@ def simplex_max(
     rhs: list[Fraction],
     lex_duals: bool = False,
 ) -> LpResult:
-    """Maximize c.x s.t. rows[i].x <= rhs[i] for all i, x >= 0, starting
-    from the slack basis, which is feasible only when every right-hand side
-    is nonnegative (a ValueError otherwise).  With ``lex_duals`` the leaving
-    rule is lexicographic, so ``duals`` is the lexicographically least
-    optimal dual point.  ``value`` is c.x, read off the tableau and not
+    """Maximize c.x s.t. rows[i].x <= rhs[i] for all i, x >= 0 by Bland's
+    rule, starting from the slack basis, which is feasible only when every
+    right-hand side is nonnegative (a ValueError otherwise).  With
+    ``lex_duals`` the lexicographic dual phase follows, so ``duals`` is the
+    lexicographically least optimal dual point; ``x`` and ``value`` are
+    Bland's either way.  ``value`` is c.x, read off the tableau and not
     certified here."""
     m, n = len(rows), len(c)
     if any(b < 0 for b in rhs):
@@ -103,12 +109,16 @@ def simplex_max(
     basis = list(range(n, n + m))
 
     def pivot(r: int, col: int) -> None:
-        # The pivot row's new denominator is its pivot entry.  Only rows with
-        # a nonzero entry in the pivot column change, and only in the pivot
-        # row's nonzero columns: matchkit's programs are mostly zeros.  The
-        # leaving rule only picks a positive pivot entry.
+        # The pivot row's new denominator is its pivot entry, made positive:
+        # a primal pivot entry is positive and a dual one negative.  Only
+        # rows with a nonzero entry in the pivot column change, and only in
+        # the pivot row's nonzero columns: matchkit's programs are mostly
+        # zeros.
         prow = tab[r]
         p = prow[col]
+        if p < 0:
+            prow = [-v for v in prow]
+            p = -p
         g = gcd(*prow) if p > 1 else 1
         if g > 1:
             prow = [v // g for v in prow]
@@ -120,21 +130,10 @@ def simplex_max(
                 tab[i], den[i] = _eliminate(tab[i], den[i], tab[i][col], prow, p, cols)
         basis[r] = col
 
-    def lex_first(i: int, a: int, leave: int, b: int) -> bool:
-        # Row i over its pivot entry a precedes row ``leave`` over b on the
-        # slack columns, the rows of B^-1.  Those rows are linearly
-        # independent, so some column tells them apart.
-        row, best = tab[i], tab[leave]
-        for k in range(n, n + m):
-            u, v = row[k] * b, best[k] * a
-            if u != v:
-                return u < v
-        return False
-
     # Bland: entering = lowest-index column with positive reduced cost;
-    # leaving = min ratio, ties by lowest basic-variable index or, with
-    # lex_duals, lexicographically.  Row denominators cancel in a ratio, and
-    # ratios are compared by cross-multiplying with positive denominators.
+    # leaving = min ratio, ties by lowest basic-variable index.  Row
+    # denominators cancel in a ratio, and ratios are compared by
+    # cross-multiplying with positive denominators.
     while True:
         enter = next((j for j, r in enumerate(tab[m]) if r > 0), -1)
         if enter < 0:
@@ -146,18 +145,45 @@ def simplex_max(
             if a > 0:
                 num = tab[i][-1]
                 if leave < 0 or num * best_den < best_num * a or (
-                    num * best_den == best_num * a
-                    and (
-                        lex_first(i, a, leave, best_den)
-                        if lex_duals
-                        else basis[i] < basis[leave]
-                    )
+                    num * best_den == best_num * a and basis[i] < basis[leave]
                 ):
                     best_num, best_den = num, a
                     leave = i
         if leave < 0:
             raise LpInternalError("linear program is unbounded")
         pivot(leave, enter)
+
+    # The lexicographic dual phase.  With the i-th right-hand side raised by
+    # eps^i, a row with a zero right-hand side is negative when the first
+    # nonzero of its slack entries is.  Bland's dual rule pivots out the
+    # lowest such basic index, entering the least ratio red_j / a_j over the
+    # row's negative entries (ties by lowest index), so no reduced cost turns
+    # positive.  Each pivot row's right-hand side is zero: x and the value
+    # do not move.
+    dual_pivots = 0
+    while lex_duals:
+        leave = -1
+        for i in range(m):
+            row = tab[i]
+            if not row[-1] and (leave < 0 or basis[i] < basis[leave]):
+                if next(v for v in row[n : n + m] if v) < 0:
+                    leave = i
+        if leave < 0:
+            break
+        row, red = tab[leave], tab[m]
+        enter = -1
+        for j in range(n + m):
+            a = row[j]
+            # Both entries negative: red_j/a_j < red_e/a_e iff red_j*a_e < red_e*a_j.
+            if a < 0 and (enter < 0 or red[j] * row[enter] < red[enter] * a):
+                enter = j
+        if enter < 0:
+            # A lexicographically negative row has a negative slack entry, so
+            # only broken arithmetic gets here.
+            raise LpInternalError("lexicographic dual phase found no entering column")
+        pivot(leave, enter)
+        dual_pivots += 1
+
     red, rd = tab[m], den[m]
     duals = [Fraction(-red[n + i], rd) for i in range(m)]
 
@@ -165,7 +191,7 @@ def simplex_max(
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = Fraction(tab[i][-1], den[i])
-    return LpResult(value=Fraction(-red[-1], rd), x=x, duals=duals)
+    return LpResult(value=Fraction(-red[-1], rd), x=x, duals=duals, dual_pivots=dual_pivots)
 
 
 def certify(c, rows, b, x, duals) -> Fraction:

@@ -5,9 +5,9 @@ exactly; its value equals the best integral partition value precisely when
 a stable matching exists, in which case prices fall out of the binding
 coalition constraints of the optimal partition.
 
-The coverage program is solved twice from the all-singletons basis: once
-under Bland's rule for the reported coalition weights, and once under the
-lexicographic leaving rule, whose duals are the lexicographically least
+The coverage program is solved once from the all-singletons basis: Bland's
+rule gives the reported coalition weights, and a lexicographic dual phase
+from Bland's optimal basis gives duals that are the lexicographically least
 optimal primal point, hence the reported prices; ``solve_lp`` certifies
 that pair, and only it, once.  The best partition comes from a dynamic
 program over (firm, used-worker bitmask) on the same coalitions and values:
@@ -35,7 +35,7 @@ from .model import (
     set_key,
     validate_tu_matching,
 )
-from .simplex import _scaled, certify, simplex_max
+from .simplex import LpResult, _scaled, certify, simplex_max
 
 ZERO = Fraction(0)
 
@@ -193,11 +193,11 @@ def max_partition_value(
 def solve_lp(problem: TuLpProblem) -> tuple[dict[str, Fraction], DualSolution]:
     """Exact optimal primal point and dual weights with equal values.
 
-    The dual (coverage) program is solved by simplex starting from the
-    all-singletons basis, under Bland's rule for the weights and under the
-    lexicographic rule for the primal point: the lexicographically least
-    optimal one in agent order, so that prices are reproducible across
-    optima.  ``simplex.certify`` checks that pair, once.
+    The dual (coverage) program is solved once, by simplex starting from
+    the all-singletons basis: Bland's rule for the weights, then the
+    lexicographic dual phase for the primal point, the lexicographically
+    least optimal one in agent order, so that prices are reproducible
+    across optima.  ``simplex.certify`` checks that pair, once.
     """
     agents = problem.agents
     idx = {a: i for i, a in enumerate(agents)}
@@ -209,31 +209,30 @@ def solve_lp(problem: TuLpProblem) -> tuple[dict[str, Fraction], DualSolution]:
             rows[idx[a]][j] = 1
     rhs = [1] * len(agents)
     objective = [v for _, v in firm_cols]
-    bland = simplex_max(objective, rows, rhs)
-    x = _lex_min_primal(rows, objective)
-    if certify(objective, rows, rhs, bland.x, x) != bland.value:
+    lp = _lex_min_primal(rows, objective)
+    if certify(objective, rows, rhs, lp.x, lp.duals) != lp.value:
         raise CertificateError("certified LP value differs from the coverage solve's")
 
     # Singletons take up each agent's slack, in integers over dw.
-    weights = {c: w for (c, _), w in zip(firm_cols, bland.x) if w}
-    ws, dw = _scaled(bland.x)
+    weights = {c: w for (c, _), w in zip(firm_cols, lp.x) if w}
+    ws, dw = _scaled(lp.x)
     for c in problem.coalitions:
         if c.is_singleton:
             (a,) = c.members()
             slack = dw - sum(w for w, e in zip(ws, rows[idx[a]]) if e)
             if slack:
                 weights[c] = Fraction(slack, dw)
-    dual = DualSolution(weights=weights, value=bland.value)
-    return {a: x[i] for a, i in idx.items()}, dual
+    dual = DualSolution(weights=weights, value=lp.value)
+    return {a: lp.duals[i] for a, i in idx.items()}, dual
 
 
-def _lex_min_primal(rows, objective):
-    """The lexicographically least optimal point of  min sum x  s.t.
-    rows^T x >= objective,  x >= 0: minimize the sum, then x_1, x_2, ...
-    over the optimal face.  It is the dual point of the coverage program
-    max objective.w  s.t.  rows w <= 1,  w >= 0  solved under the
-    lexicographic leaving rule."""
-    return simplex_max(objective, rows, [1] * len(rows), lex_duals=True).duals
+def _lex_min_primal(rows, objective) -> LpResult:
+    """The one solve of the coverage program  max objective.w  s.t.
+    rows w <= 1,  w >= 0:  ``x`` holds Bland's weights, and ``duals`` the
+    lexicographically least optimal point of its dual  min sum x  s.t.
+    rows^T x >= objective,  x >= 0  (minimize the sum, then x_1, x_2, ...
+    over the optimal face), reached by the lexicographic dual phase."""
+    return simplex_max(objective, rows, [1] * len(rows), lex_duals=True)
 
 
 def check_stable_tu(m: TuMarket, mu: TuMatching) -> TuStabilityVerdict:

@@ -1,10 +1,15 @@
 """The LP layer as it was before ``solve-tu`` ran on integers end to end:
-``simplex_max`` certifying each solve itself, ``solve_lp`` certifying its
-pair a third time and summing coverage in Fractions, and ``check_stable_tu``
-summing utilities and coalition values in Fractions.  Kept verbatim as
-oracles for the differential tests in ``test_lp_oracles.py``, together with
-``coalition_value``, which left ``matchkit.model`` once only these oracles
-and the tests called it."""
+``simplex_max`` certifying each solve itself, with dense eliminations and
+the lexicographic leaving rule under ``lex_duals``; ``solve_lp`` making two
+solves, Bland's rule for the weights and the lexicographic rule for the
+prices, certifying its pair a third time and summing coverage in
+Fractions; and ``check_stable_tu`` summing utilities and coalition values
+in Fractions.  This file is the two-solve reference: the package solves
+once, Bland's rule followed by a lexicographic dual phase, and must report
+this ``simplex_max``'s Bland x and value with its lexicographic-rule duals.
+Kept verbatim as oracles for the differential tests in
+``test_lp_oracles.py``, together with ``coalition_value``, which left
+``matchkit.model`` once only these oracles and the tests called it."""
 
 from __future__ import annotations
 

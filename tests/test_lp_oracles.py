@@ -3,6 +3,7 @@
 coverage weights, the prices and every stability violation, deficits
 included, must be the same."""
 
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,33 +73,38 @@ def coverage_program(problem):
 
 
 def same_solve(c, rows, rhs):
-    """simplex_max against the oracle under both leaving rules: the same x,
-    duals and value, or the same error."""
-    for lex_duals in (False, True):
-        try:
-            ref = lp_oracles.simplex_max(c, rows, rhs, lex_duals=lex_duals)
-        except (LpInternalError, ValueError) as e:
+    """simplex_max against the oracle: the same error, or the x and value of
+    the oracle's Bland run under both settings of ``lex_duals``, with the
+    duals of the oracle's run under the same leaving rule.  simplex_max
+    reaches the lexicographic duals by a dual phase after Bland's optimum,
+    so its x stays Bland's.  Returns the dual phase's pivot count, or None
+    on an error."""
+    try:
+        bland = lp_oracles.simplex_max(c, rows, rhs)
+    except (LpInternalError, ValueError) as e:
+        for lex_duals in (False, True):
             with pytest.raises(type(e), match=str(e)):
                 simplex_max(c, rows, rhs, lex_duals=lex_duals)
-            continue
-        got = simplex_max(c, rows, rhs, lex_duals=lex_duals)
-        assert (got.x, got.duals, got.value) == (ref.x, ref.duals, ref.value)
+        return None
+    lex = lp_oracles.simplex_max(c, rows, rhs, lex_duals=True)
+    assert lex.value == bland.value
+    got = simplex_max(c, rows, rhs)
+    assert (got.x, got.duals, got.value, got.dual_pivots) == (bland.x, bland.duals, bland.value, 0)
+    got = simplex_max(c, rows, rhs, lex_duals=True)
+    assert (got.x, got.duals, got.value) == (bland.x, lex.duals, bland.value)
+    return got.dual_pivots
 
 
 def test_lp_results_match_the_oracles_on_tu_markets():
     stable = unstable = 0
+    phase_pivots = Counter()
     for label, m in MARKETS:
         problem = build_lp_problem(m)
         assert problem.values == tuple(
             lp_oracles.coalition_value(m, c) for c in problem.coalitions
         ), label
-        same_solve(*coverage_program(problem))
-        x, dual = solve_lp(problem)
-        ref_x, ref_dual = lp_oracles.solve_lp(problem)
-        assert x == ref_x, label
-        assert dual.value == ref_dual.value, label
-        assert list(dual.weights.items()) == list(ref_dual.weights.items()), label
-        assert all(type(w) is F for w in (*x.values(), *dual.weights.values()))
+        phase_pivots[same_solve(*coverage_program(problem))] += 1
+        ref_x = same_lp(problem, label)
 
         rep = find_stable_matching_tu(m)
         if not rep.stable:
@@ -111,6 +117,47 @@ def test_lp_results_match_the_oracles_on_tu_markets():
         }, label
         assert rep.utilities == tu_utilities(m, rep.matching) == ref_x, label
     assert (stable, unstable) == (486, 53)
+    # The dual phase makes no pivot on some programs and up to ten on others.
+    assert (phase_pivots[0], max(phase_pivots), sum(phase_pivots.values())) == (43, 10, 539)
+
+
+def same_lp(problem, label):
+    """solve_lp against the two-solve oracle: the same prices, weights (in
+    order) and value, all Fractions.  Returns the oracle's prices."""
+    x, dual = solve_lp(problem)
+    ref_x, ref_dual = lp_oracles.solve_lp(problem)
+    assert x == ref_x, label
+    assert dual.value == ref_dual.value, label
+    assert list(dual.weights.items()) == list(ref_dual.weights.items()), label
+    assert all(type(w) is F for w in (*x.values(), *dual.weights.values()))
+    return ref_x
+
+
+def test_the_dual_phase_runs_on_a_tied_game():
+    # Bland's optimal basis for this degenerate 2x3 game is not
+    # lexicographically feasible: the dual phase pivots twice.
+    c, rows, rhs = coverage_program(build_lp_problem(tied_game(2, 3, 17)))
+    assert same_solve(c, rows, rhs) == 2
+    bland = simplex_max(c, rows, rhs)
+    assert simplex_max(c, rows, rhs, lex_duals=True).duals != bland.duals
+
+
+@pytest.mark.parametrize("seed,sets,size", [(1, 32, 4), (0, 40, 5), (1, 40, 5)])
+def test_solve_lp_matches_the_two_solve_oracle_at_the_guard(seed, sets, size):
+    # Generated 8x12 markets, at the firm and worker guard, with 100 to 300
+    # coalitions: columns enough for long degenerate pivot runs.
+    m = gen_tu_market(
+        GenParams(
+            seed=seed,
+            firm_count=8,
+            worker_count=12,
+            max_acceptable_sets_per_firm=sets,
+            max_set_size=size,
+        )
+    )
+    problem = build_lp_problem(m)
+    assert 100 <= len(problem.coalitions) <= 300
+    same_lp(problem, seed)
 
 
 def rational(rng, lo, hi):
@@ -136,14 +183,12 @@ def coverage_programs(rng, count):
 
 
 def test_simplex_matches_the_oracle_on_random_coverage_programs():
-    unbounded = 0
-    for c, rows, rhs in coverage_programs(SplitMix64(17), 600):
-        same_solve(c, rows, rhs)
-        try:
-            lp_oracles.simplex_max(c, rows, rhs)
-        except LpInternalError:
-            unbounded += 1
-    assert 0 < unbounded < 300
+    # None counts the unbounded programs; the others count by the number of
+    # pivots of the dual phase.
+    phase_pivots = Counter(
+        same_solve(c, rows, rhs) for c, rows, rhs in coverage_programs(SplitMix64(17), 600)
+    )
+    assert phase_pivots == {None: 278, 0: 315, 1: 7}
 
 
 def probe_matchings(m, rng, count):
@@ -227,10 +272,11 @@ def test_a_tampered_lexicographic_dual_is_refused(monkeypatch, example1_tu, tamp
     honest = tu_solver._lex_min_primal
 
     def tampered(rows, objective):
-        duals = honest(rows, objective)
+        lp = honest(rows, objective)
+        duals = list(lp.duals)
         k = max(range(len(duals)), key=lambda i: duals[i])
         duals[k] += F(1) if tamper == "raise" else F(-1, 2)
-        return duals
+        return lp._replace(duals=duals)
 
     monkeypatch.setattr(tu_solver, "_lex_min_primal", tampered)
     with pytest.raises(CertificateError):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from matchkit.errors import CertificateError
 from matchkit.generator import SplitMix64
 from matchkit.model import TuMarket
 from matchkit.simplex import LpInternalError, LpResult, certify, simplex_max
+
+from golden import tied_game
 
 F = Fraction
 ZERO = F(0)
@@ -354,17 +357,27 @@ def _sparse_programs(rng, count):
         yield c, rows, rhs
 
 
-def _same_result(c, rows, rhs, **kwargs):
-    got = simplex_max(c, rows, rhs, **kwargs)
-    ref = dense_simplex_max(c, rows, rhs, **kwargs)
-    assert (got.x, got.duals, got.value) == (ref.x, ref.duals, ref.value)
+def _same_result(c, rows, rhs, lex_duals=False):
+    """simplex_max against the dense reference: the x and value of its
+    Bland run, and the duals of its run under the same leaving rule.  With
+    ``lex_duals`` simplex_max reaches the lexicographic duals by a dual
+    phase after Bland's optimum, so its x stays Bland's.  Returns the dual
+    phase's pivot count."""
+    got = simplex_max(c, rows, rhs, lex_duals=lex_duals)
+    ref = dense_simplex_max(c, rows, rhs)
+    duals = dense_simplex_max(c, rows, rhs, lex_duals=True).duals if lex_duals else ref.duals
+    assert (got.x, got.duals, got.value) == (ref.x, duals, ref.value)
+    assert lex_duals or got.dual_pivots == 0
+    return got.dual_pivots
 
 
 def _same_results(programs):
-    """Sparse against dense under both leaving rules on each program with a
-    nonnegative right-hand side; every other program must be refused under
-    both rules.  Returns (refused, compared) counts."""
+    """Sparse against dense with and without ``lex_duals`` on each program
+    with a nonnegative right-hand side; every other program must be refused
+    both ways.  Returns (refused, compared) counts and a Counter of the
+    compared programs by the dual phase's pivot count."""
     refused = compared = 0
+    phase_pivots = Counter()
     for c, rows, rhs in programs:
         if any(b < 0 for b in rhs):
             for lex_duals in (False, True):
@@ -373,19 +386,37 @@ def _same_results(programs):
             refused += 1
         else:
             _same_result(c, rows, rhs)
-            _same_result(c, rows, rhs, lex_duals=True)
+            phase_pivots[_same_result(c, rows, rhs, lex_duals=True)] += 1
             compared += 1
-    return refused, compared
+    return (refused, compared), phase_pivots
 
 
 def test_sparse_pivots_match_dense_pivots_on_random_programs():
-    assert _same_results(_sparse_programs(SplitMix64(7), 200)) == (88, 112)
+    counts, phase_pivots = _same_results(_sparse_programs(SplitMix64(7), 200))
+    assert counts == (88, 112)
+    assert phase_pivots == {0: 102, 1: 10}
+
+
+def test_the_dual_phase_matches_the_dense_lexicographic_rule_on_tied_games():
+    # Degenerate coverage programs, where the dual phase makes two to eight
+    # pivots; then one where Bland's optimum needs no repair.
+    phase_pivots = Counter()
+    for shape in ((2, 3), (3, 4), (4, 4), (4, 6)):
+        for seed in range(6):
+            problem = tu_solver.build_lp_problem(tied_game(*shape, seed))
+            firm_cols = problem.firm_coalitions()
+            rows = [[int(a in c.members()) for c, _ in firm_cols] for a in problem.agents]
+            objective = [v for _, v in firm_cols]
+            phase_pivots[_same_result(objective, rows, [1] * len(rows), lex_duals=True)] += 1
+    assert phase_pivots == {2: 6, 3: 9, 4: 3, 5: 3, 7: 1, 8: 2}
+    rows = [[1, 1, 0], [0, 1, 1]]
+    assert _same_result([1, 1, 1], rows, [1, 1], lex_duals=True) == 0
 
 
 @pytest.mark.parametrize("n_firms,n_workers", [(4, 4), (5, 6)])
 def test_sparse_pivots_match_dense_pivots_on_assignment_games(monkeypatch, n_firms, n_workers):
-    # Both programs solve_lp builds: the coverage program and the
-    # lexicographic price tableau.
+    # The one program each solve_lp solves: the coverage program, with the
+    # lexicographic dual phase for the prices.
     calls = []
 
     def recording(c, rows, rhs, **kwargs):
@@ -406,8 +437,9 @@ def test_sparse_pivots_match_dense_pivots_on_assignment_games(monkeypatch, n_fir
             worker_valuations={w: {f: F(rng.randint(0, 24), 8) for f in firms} for w in workers},
         )
         tu_solver.solve_lp(tu_solver.build_lp_problem(m))
-    assert len(calls) == 6
+    assert len(calls) == 3
     for c, rows, rhs, kwargs in calls:
+        assert kwargs == {"lex_duals": True}
         _same_result(c, rows, rhs, **kwargs)
 
 
@@ -446,7 +478,9 @@ RATIONAL_PROGRAMS = list(_rational_programs(SplitMix64(11), 240))
 
 
 def test_integer_tableau_matches_fraction_tableau_on_rational_programs():
-    assert _same_results((c, rows, rhs) for c, rows, rhs, _ in RATIONAL_PROGRAMS) == (130, 110)
+    counts, phase_pivots = _same_results((c, rows, rhs) for c, rows, rhs, _ in RATIONAL_PROGRAMS)
+    assert counts == (130, 110)
+    assert phase_pivots == {0: 108, 1: 2}
     assert any(
         isinstance(v, Fraction) and v.denominator in (3, 7)
         for c, rows, rhs, ties in RATIONAL_PROGRAMS
@@ -500,9 +534,9 @@ def test_certify_matches_the_fraction_certifier_on_perturbed_pairs():
 
 
 def test_lex_duals_are_the_tie_stage_least_dual_point():
-    # The lexicographic rule's duals are the point the tie stages reach on
-    # the dual program  min b.y  s.t.  rows^T y >= c,  y >= 0: least b.y,
-    # then least y_1, y_2, ... in turn.
+    # The duals after the lexicographic dual phase are the point the tie
+    # stages reach on the dual program  min b.y  s.t.  rows^T y >= c,
+    # y >= 0: least b.y, then least y_1, y_2, ... in turn.
     checked = 0
     for c, rows, rhs, _ in RATIONAL_PROGRAMS:
         if any(b < 0 for b in rhs):

@@ -30,6 +30,7 @@ from matchkit.io import load_market
 from matchkit.model import DEFAULT_BUDGET, _Budget, iter_disjoint_assignments
 from matchkit.simplex import simplex_max
 
+import lp_oracles
 from golden import SUITE_PARAMS, assignment_game, tied_game
 from lp_oracles import coalition_value
 
@@ -280,12 +281,13 @@ class TestSolveLp:
     def test_coverage_weights_stay_on_blands_rule(self):
         # The coverage optimum of this degenerate 2x3 game is not unique.
         # Bland's rule picks {f1,w1} and {f2,w2}; the lexicographic rule,
-        # which gives the prices, would pick {f1,w3} and {f2,w2}.  The
+        # whose duals are the prices, would pick {f1,w3} and {f2,w2}.  The
         # reported weights are output bytes, so they keep Bland's rule.
         problem = build_lp_problem(tied_game(2, 3, 17))
         firm_cols = problem.firm_coalitions()
         rows = [[int(a in c.members()) for c, _ in firm_cols] for a in problem.agents]
-        lex = simplex_max([v for _, v in firm_cols], rows, [1] * len(rows), lex_duals=True)
+        objective = [v for _, v in firm_cols]
+        lex = lp_oracles.simplex_max(objective, rows, [1] * len(rows), lex_duals=True)
         assert {c.label() for (c, _), w in zip(firm_cols, lex.x) if w} == {"{f1,w3}", "{f2,w2}"}
         _, dual = solve_lp(problem)
         assert dual.value == lex.value
@@ -511,7 +513,14 @@ from matchkit.io import load_market
 if __debug__:
     sys.exit("expected python -O")
 honest = tu_solver._lex_min_primal
-tu_solver._lex_min_primal = lambda *args: [FAULT for v in honest(*args)]
+
+
+def faulty(*args):
+    lp = honest(*args)
+    return lp._replace(duals=[FAULT for v in lp.duals])
+
+
+tu_solver._lex_min_primal = faulty
 try:
     tu_solver.find_stable_matching_tu(load_market(sys.argv[1]))
     print("no error")
