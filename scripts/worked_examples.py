@@ -3,7 +3,8 @@
 
 Runs the CLI over every fixture under tests/fixtures, printing each
 ``matchkit`` command and its human-readable report: balancedness, LP vs
-partition values, stable matchings, demand types, and the roadmap report.
+partition values, stable matchings, the blocking dynamics from the empty
+matching, demand types, and the roadmap report.
 Exits 1 if any command fails with an error (exit code 2 or more).
 """
 
@@ -32,8 +33,12 @@ def main() -> int:
     os.chdir(ROOT)  # relative paths keep the reports' input names short
     runs = []
     for name in MARKETS:
-        solve = ["solve-tu"] if "_tu" in name else ["solve-discrete", "analyze"]
-        runs += [[c, f"tests/fixtures/{name}"] for c in ["balance", *solve]]
+        path = f"tests/fixtures/{name}"
+        if "_tu" in name:
+            runs += [["balance", path], ["solve-tu", path]]
+        else:
+            dynamics = ["solve-discrete", path, "--dynamics"]
+            runs += [["balance", path], ["solve-discrete", path], dynamics, ["analyze", path]]
     runs.append(["roadmap", "tests/fixtures/example4_roadmap.json", "tests/fixtures/profile13.json"])
     worst = 0
     for argv in runs:

@@ -1,13 +1,17 @@
 """Stability checking, exhaustive enumeration, and blocking dynamics for
 discrete markets.
 
-The blocking search per firm f looks at T_f, the workers weakly preferring
-f to their current match; Ch_f(T_f) dominates every coalition f could form,
-so checking it against mu(f) is both sound and complete.  A firm holding a
-non-satisfactory set is flagged through the same route (its choice from T_f
-beats mu(f)), which mirrors how no-blocking subsumes firm rationality.  All
-T_f come from one pass over the workers, and f's list is scanned only down
-to the rank of mu(f): no per-worker ``choice`` or rank-helper calls.
+One scan per firm gives the whole verdict.  The blocking search per firm f
+looks at T_f, the workers weakly preferring f to their current match;
+Ch_f(T_f) dominates every coalition f could form, so checking it against
+mu(f) is both sound and complete.  All T_f come from one pass over the
+workers, which also notes the workers at firms they do not list, and f's
+list is scanned only down to mu(f): the first set inside T_f is f's block,
+and a set inside mu(f) itself, or an unlisted mu(f), makes f irrational,
+so a firm that is not rational always blocks.  No per-worker ``choice`` or
+rank-helper calls.  ``is_individually_rational`` and
+``find_blocking_coalition`` read ``check_stable_discrete``'s verdict, and
+the dynamics run the same scan on each state.
 
 Enumeration walks the disjoint assignments of satisfactory sets depth first
 and prunes them with a forward version of the same test: a partial
@@ -31,7 +35,7 @@ from .model import (
     WorkerSet,
     _Budget,
     check_guard,
-    choice,
+    choice,  # noqa: F401  not called here; a module attribute perfbench/tracing.py wraps
     iter_disjoint_assignments,
     satisfactory_sets,
     set_key,
@@ -74,65 +78,21 @@ class DynamicsTrace(NamedTuple):
     revisit: tuple[int, int] | None = None
 
 
-def _staff(mu: DiscreteMatching) -> dict[str, set[str]]:
-    staff: dict[str, set[str]] = {}
-    for w, f in mu.assignment.items():
-        staff.setdefault(f, set()).add(w)
-    return staff
-
-
 def is_individually_rational(
     m: DiscreteMarket, mu: DiscreteMatching
 ) -> list[IrViolation]:
     """Violation list (empty means rational): every matched worker must find
-    her firm acceptable, every firm's set must be its own choice."""
-    return _ir_violations(m, mu, _staff(mu))
-
-
-def _ir_violations(m: DiscreteMarket, mu: DiscreteMatching, staff) -> list[IrViolation]:
-    out = []
-    for w in sorted(m.workers):
-        f = mu.assignment.get(w)
-        if f is not None and f not in m.worker_prefs.get(w, ()):
-            out.append(IrViolation(agent=w, note=f"matched to unacceptable firm {f!r}"))
-    for f in sorted(m.firms):
-        held = staff.get(f, frozenset())
-        if choice(m, f, held) != held:
-            out.append(IrViolation(agent=f, note=f"{set_key(held)} is not its own choice"))
-    return out
+    her firm acceptable, every firm's set must be its own choice.  Unknown
+    agents raise InvalidMarketError."""
+    return list(check_stable_discrete(m, mu).ir_violations)
 
 
 def find_blocking_coalition(
     m: DiscreteMarket, mu: DiscreteMatching
 ) -> BlockingCoalition | None:
-    """The best block of the lowest-id blocking firm, or None.
-
-    For each firm in id order, T_f collects the workers weakly preferring f
-    to their current match; the firm blocks iff Ch_f(T_f) beats mu(f), that
-    is iff a set listed above mu(f) lies inside T_f (or mu(f) is unlisted).
-    """
-    return _blocking_coalition(m, mu, _staff(mu))
-
-
-def _blocking_coalition(m: DiscreteMarket, mu: DiscreteMatching, staff):
-    t = {f: set(staff.get(f, ())) for f in m.firms}
-    for w in m.workers:
-        g = mu.assignment.get(w)
-        for f in m.worker_prefs.get(w, ()):
-            if f == g:
-                break
-            t[f].add(w)  # w ranks f above its current firm
-    for f in sorted(m.firms):
-        held, t_f = staff.get(f), t[f]
-        for s in m.firm_prefs.get(f, ()):
-            if s == held:
-                break
-            if s <= t_f:
-                return BlockingCoalition(firm=f, workers=s)
-        else:
-            if held:  # an unlisted set ranks below the empty one
-                return BlockingCoalition(firm=f, workers=frozenset())
-    return None
+    """The best block of the lowest-id blocking firm, or None.  Unknown
+    agents raise InvalidMarketError."""
+    return check_stable_discrete(m, mu).blocking
 
 
 def check_stable_discrete(
@@ -142,13 +102,48 @@ def check_stable_discrete(
     problems = validate_assignment(m, mu.assignment)
     if problems:
         raise InvalidMarketError("; ".join(problems))
-    staff = _staff(mu)
-    ir = _ir_violations(m, mu, staff)
-    block = _blocking_coalition(m, mu, staff)
+    return _verdict(m, mu)
+
+
+def _verdict(m: DiscreteMarket, mu: DiscreteMatching) -> DiscreteStabilityVerdict:
+    """The verdict on a matching of known agents, by the one scan per firm
+    the module docstring describes; T_f starts as f's staff.  The block
+    reported is the lowest-id blocking firm's."""
+    staff: dict[str, set[str]] = {}
+    for w, f in mu.assignment.items():
+        staff.setdefault(f, set()).add(w)
+    t = {f: set(staff.get(f, ())) for f in m.firms}
+    ir = []
+    for w in sorted(m.workers):
+        g = mu.assignment.get(w)
+        for f in m.worker_prefs.get(w, ()):
+            if f == g:
+                break
+            t[f].add(w)  # w ranks f above its current firm
+        else:
+            if g is not None:
+                ir.append(IrViolation(agent=w, note=f"matched to unacceptable firm {g!r}"))
+    block = None
+    for f in sorted(m.firms):
+        held = staff.get(f)
+        if held is None and block is not None:
+            continue  # an unmatched firm is rational
+        t_f = t[f]
+        for s in m.firm_prefs.get(f, ()):
+            if s == held:
+                break
+            if block is None and s <= t_f:
+                block = BlockingCoalition(firm=f, workers=s)
+            if held and s <= held:
+                ir.append(IrViolation(agent=f, note=f"{set_key(held)} is not its own choice"))
+                break
+        else:
+            if held:  # an unlisted set ranks below the empty one
+                ir.append(IrViolation(agent=f, note=f"{set_key(held)} is not its own choice"))
+                if block is None:
+                    block = BlockingCoalition(firm=f, workers=frozenset())
     return DiscreteStabilityVerdict(
-        stable=not ir and block is None,
-        ir_violations=tuple(ir),
-        blocking=block,
+        stable=not ir and block is None, ir_violations=tuple(ir), blocking=block
     )
 
 
@@ -318,48 +313,33 @@ def run_blocking_dynamics(
     first exact revisit of an earlier state, or when ``max_steps`` moves
     have been made and the state they reach is not stable.
     """
-    workers = sorted(m.workers)
-    states = [start]
-    moves: list[DynamicsMove] = []
+    states, moves = [start], []
     seen = {start.key(): 0}
-    current = start
-    while True:
-        quitter = next(
-            (
-                w
-                for w in workers
-                if (f := current.assignment.get(w)) is not None
-                and f not in m.worker_prefs.get(w, ())
-            ),
-            None,
-        )
-        block = None if quitter is not None else find_blocking_coalition(m, current)
-        if quitter is None and block is None:
-            return DynamicsTrace(
-                states=tuple(states),
-                moves=tuple(moves),
-                outcome="stable",
-                stable_at=len(states) - 1,
-            )
-        if len(moves) >= max_steps:
-            return DynamicsTrace(states=tuple(states), moves=tuple(moves), outcome="budget")
-        if quitter is not None:
+    current, revisit = start, None
+    # Validated once: every later state is built from its agents and the market's.
+    verdict = check_stable_discrete(m, start)
+    while not verdict.stable and len(moves) < max_steps:
+        ir = verdict.ir_violations
+        if ir and ir[0].agent in m.workers:  # worker notes come first
             assignment = dict(current.assignment)
-            del assignment[quitter]
+            del assignment[ir[0].agent]
             current = DiscreteMatching(assignment=assignment)
-            moves.append(DynamicsMove(kind="quit", worker=quitter))
-        else:
+            moves.append(DynamicsMove(kind="quit", worker=ir[0].agent))
+        else:  # a firm that is not rational blocks too
+            block = verdict.blocking
             current = _apply_block(current, block)
-            moves.append(
-                DynamicsMove(kind="block", firm=block.firm, workers=block.workers)
-            )
+            moves.append(DynamicsMove(kind="block", firm=block.firm, workers=block.workers))
         states.append(current)
         key = current.key()
         if key in seen:
-            return DynamicsTrace(
-                states=tuple(states),
-                moves=tuple(moves),
-                outcome="cycle",
-                revisit=(seen[key], len(states) - 1),
-            )
+            revisit = (seen[key], len(states) - 1)
+            break
         seen[key] = len(states) - 1
+        verdict = _verdict(m, current)
+    return DynamicsTrace(
+        states=tuple(states),
+        moves=tuple(moves),
+        outcome="cycle" if revisit else "stable" if verdict.stable else "budget",
+        stable_at=len(states) - 1 if verdict.stable else None,
+        revisit=revisit,
+    )

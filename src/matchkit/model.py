@@ -34,10 +34,6 @@ def set_key(s: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(s))
 
 
-def _freeze_set(s: Iterable[str]) -> WorkerSet:
-    return s if isinstance(s, frozenset) else frozenset(s)
-
-
 def _fraction(v) -> Fraction:
     return v if type(v) is Fraction else Fraction(v)
 
@@ -75,7 +71,7 @@ class TuMarket(_TuMarketFields):
 
     def __new__(cls, firms, workers, firm_valuations, worker_valuations):
         fv = {
-            f: {_freeze_set(s): _fraction(v) for s, v in vals.items()}
+            f: {frozenset(s): _fraction(v) for s, v in vals.items()}
             for f, vals in firm_valuations.items()
         }
         wv = {
@@ -97,7 +93,7 @@ class TuMarket(_TuMarketFields):
     def firm_value(self, f: str, s: WorkerSet) -> Fraction:
         if not s:
             return Fraction(0)
-        return self.firm_valuations[f][_freeze_set(s)]
+        return self.firm_valuations[f][frozenset(s)]
 
     def worker_value(self, w: str, f: str | None) -> Fraction:
         if f is None:
@@ -124,7 +120,7 @@ class DiscreteMarket(_DiscreteMarketFields):
     __slots__ = ()
 
     def __new__(cls, firms, workers, firm_prefs, worker_prefs):
-        fp = {f: tuple(_freeze_set(s) for s in prefs) for f, prefs in firm_prefs.items()}
+        fp = {f: tuple(frozenset(s) for s in prefs) for f, prefs in firm_prefs.items()}
         wp = {w: tuple(prefs) for w, prefs in worker_prefs.items()}
         self = super().__new__(cls, frozenset(firms), frozenset(workers), fp, wp)
         require_valid(self)
@@ -142,7 +138,7 @@ class DiscreteMarket(_DiscreteMarketFields):
         """Rank of a worker set for firm f: list index, len for the empty
         set, len+1 for unlisted sets (all tied below empty)."""
         prefs = self.firm_prefs.get(f, ())
-        s = _freeze_set(s)
+        s = frozenset(s)
         if not s:
             return len(prefs)
         try:
@@ -294,7 +290,7 @@ def choice(m: DiscreteMarket, f: str, s: Iterable[str]) -> WorkerSet:
     set when none is."""
     if f not in m.firms:
         raise KeyError(f"unknown firm {f!r}")
-    s = _freeze_set(s)
+    s = frozenset(s)
     for candidate in m.firm_prefs.get(f, ()):
         if candidate <= s:
             return candidate
@@ -321,7 +317,7 @@ class Coalition(_CoalitionFields):
     __slots__ = ()
 
     def __new__(cls, firm, workers):
-        workers = _freeze_set(workers)
+        workers = frozenset(workers)
         if firm is None and len(workers) != 1:
             raise ValueError("a firmless coalition must be a single worker")
         return super().__new__(cls, firm, workers)
@@ -429,20 +425,21 @@ def validate_tu_matching(m: TuMarket, mu: TuMatching) -> list[str]:
 
 def tu_utilities(m: TuMarket, mu: TuMatching) -> dict[str, Fraction]:
     """Per-agent utilities under (mu, p): firms get v_f(set) minus wages,
-    workers get v_w(firm) plus wage.  Raises if the matching pairs an agent
-    with an unacceptable partner (utility undefined)."""
+    workers get v_w(firm) plus wage.  A ValueError names the first agent,
+    firms then workers in id order, paired with an unacceptable partner
+    (utility undefined)."""
     problems = validate_tu_matching(m, mu)
     if problems:
         raise InvalidMarketError("; ".join(problems))
     out: dict[str, Fraction] = {}
-    for f in m.firms:
+    for f in sorted(m.firms):
         staff = mu.workers_of(f)
         if staff and staff not in m.firm_valuations.get(f, {}):
             raise ValueError(f"firm {f!r} matched to unacceptable set {set_key(staff)}")
         out[f] = m.firm_value(f, staff) - sum(
             (mu.price(w) for w in staff), Fraction(0)
         )
-    for w in m.workers:
+    for w in sorted(m.workers):
         f = mu.firm_of(w)
         if f is not None and f not in m.worker_valuations.get(w, {}):
             raise ValueError(f"worker {w!r} matched to unacceptable firm {f!r}")

@@ -4,18 +4,17 @@ Solves  max c.x  subject to  A x <= b,  x >= 0  with Bland's smallest-index
 anti-cycling rule, starting from the slack basis.  That basis is feasible
 only when b >= 0, so there is no phase 1 and a negative right-hand side
 raises ValueError; matchkit's programs are coverage programs, with b all
-ones.  With ``lex_duals`` a lexicographic dual phase follows Bland's
-optimum.  It repairs the basis for the program perturbed as if the i-th
-right-hand side were raised by eps^i, the perturbation behind the
-lexicographic rule of Dantzig, Orden & Wolfe (1955): a row with a zero
-right-hand side whose row of B^-1 (its slack columns) is lexicographically
-negative is pivoted out by the dual simplex under Bland's rule (Bland
-1977), which is finite.  The point x and its value stay Bland's, and the
-final basis is optimal for the perturbed program, so its duals are the
-lexicographically least optimal dual point: least b.y, then least y_1,
-then y_2 and so on.  A solve is not certified: the caller certifies the
-pair of points it reports with ``certify`` (primal and dual feasibility,
-equal objective values), once.
+ones.  A lexicographic dual phase always follows Bland's optimum.  It
+repairs the basis for the program perturbed as if the i-th right-hand side
+were raised by eps^i, the perturbation behind the lexicographic rule of
+Dantzig, Orden & Wolfe (1955): a row with a zero right-hand side whose row
+of B^-1 (its slack columns) is lexicographically negative is pivoted out by
+the dual simplex under Bland's rule (Bland 1977), which is finite.  The
+point x and its value stay Bland's, and the final basis is optimal for the
+perturbed program, so its duals are the lexicographically least optimal
+dual point: least b.y, then least y_1, then y_2 and so on.  A solve is not
+certified: the caller certifies the pair of points it reports with
+``certify`` (primal and dual feasibility, equal objective values), once.
 
 Inputs may be ``int`` or ``Fraction``; outputs are ``Fraction``.  Inside,
 each tableau row (and each reduced-cost row) is a list of ``int``
@@ -77,15 +76,13 @@ def simplex_max(
     c: list[Fraction],
     rows: list[list[Fraction]],
     rhs: list[Fraction],
-    lex_duals: bool = False,
 ) -> LpResult:
     """Maximize c.x s.t. rows[i].x <= rhs[i] for all i, x >= 0 by Bland's
     rule, starting from the slack basis, which is feasible only when every
-    right-hand side is nonnegative (a ValueError otherwise).  With
-    ``lex_duals`` the lexicographic dual phase follows, so ``duals`` is the
-    lexicographically least optimal dual point; ``x`` and ``value`` are
-    Bland's either way.  ``value`` is c.x, read off the tableau and not
-    certified here."""
+    right-hand side is nonnegative (a ValueError otherwise).  The
+    lexicographic dual phase follows, so ``duals`` is the lexicographically
+    least optimal dual point, while ``x`` and ``value`` are Bland's.
+    ``value`` is c.x, read off the tableau and not certified here."""
     m, n = len(rows), len(c)
     if any(b < 0 for b in rhs):
         raise ValueError("simplex_max needs a nonnegative right-hand side")
@@ -161,7 +158,7 @@ def simplex_max(
     # positive.  Each pivot row's right-hand side is zero: x and the value
     # do not move.
     dual_pivots = 0
-    while lex_duals:
+    while True:
         leave = -1
         for i in range(m):
             row = tab[i]

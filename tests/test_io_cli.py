@@ -760,3 +760,12 @@ def test_worked_examples_script_runs():
     report = analyze.split("\n$ ")[0].splitlines()
     assert report[0] == "command: analyze"
     assert "    totally_unimodular: no" in report
+    # The two-firm market with no stable matching: the dynamics cycle.
+    dynamics = done.stdout.split(
+        "$ matchkit solve-discrete tests/fixtures/intro_discrete.json --dynamics\n"
+    )[1]
+    report = dynamics.split("\n$ ")[0].splitlines()
+    assert report[0] == "command: solve-discrete"
+    assert report[3:9] == [
+        "facts:", "  outcome: cycle", "  stable_at: none", "  revisit:", "    - 1", "    - 5",
+    ]

@@ -1,7 +1,11 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import matchkit
 from matchkit import (
     Coalition,
     DiscreteMarket,
@@ -249,6 +253,35 @@ class TestTuUtilities:
         mu = TuMatching(assignment={"w1": "f2", "w2": "f2"})
         with pytest.raises(ValueError):
             tu_utilities(intro_tu, mu)
+
+
+    def test_the_lowest_id_offender_is_named_under_every_hash_seed(self):
+        # Three firms, each matched to a set it does not value: the agent
+        # sets are frozensets, so only checking in id order names f1 under
+        # every hash seed.
+        code = (
+            "from matchkit import TuMarket, TuMatching, tu_utilities\n"
+            "firms, workers = ['f1', 'f2', 'f3'], ['w1', 'w2', 'w3']\n"
+            "vals = {f: {frozenset({w}): 1} for f, w in zip(firms, workers)}\n"
+            "m = TuMarket(firms=set(firms), workers=set(workers), firm_valuations=vals,\n"
+            "             worker_valuations={})\n"
+            "mu = TuMatching(assignment={'w1': 'f2', 'w2': 'f3', 'w3': 'f1'})\n"
+            "try:\n"
+            "    tu_utilities(m, mu)\n"
+            "except ValueError as e:\n"
+            "    print(e)\n"
+        )
+        src = str(Path(matchkit.__file__).parents[1])
+        for seed in range(6):
+            proc = subprocess.run(
+                [sys.executable, "-B", "-c", code],
+                capture_output=True,
+                text=True,
+                env={"PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+                timeout=120,
+            )
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout == "firm 'f1' matched to unacceptable set ('w3',)\n", seed
 
 
 def test_set_key_sorts_members():
