@@ -184,14 +184,8 @@ def cmd_solve_discrete(args) -> int:
         raise MarketFormatError("solve-discrete needs a discrete market file")
     if args.dynamics:
         if args.start is not None:
+            # run_blocking_dynamics validates the start against the market.
             start = io.parse_matching(io.load_json(args.start, inputs), "discrete")
-            unknown = [
-                (w, f)
-                for w, f in start.assignment.items()
-                if w not in market.workers or f not in market.firms
-            ]
-            if unknown:
-                raise MarketFormatError(f"start matching names unknown agents: {unknown}")
         else:
             start = DiscreteMatching(assignment={})
         trace = discrete_solver.run_blocking_dynamics(

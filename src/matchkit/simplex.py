@@ -22,15 +22,20 @@ numerators over one positive ``int`` row denominator, and pivots are
 fraction-free in the manner of Edmonds (1967) and Bareiss (1968): the row
 becomes  p*row - f*pivot_row  over  den*p,  subtracting on the pivot row's
 nonzero columns only, and a row over a denominator above 1 is reduced by its
-gcd.  On a totally unimodular program every pivot is 1 and every
-denominator stays 1.  The rationals stored are exactly those of a
+gcd.  On a totally unimodular program every pivot is 1, every denominator
+stays 1 and rows are updated in place; the tableau's rows are its own
+lists, never the caller's.  The rationals stored are exactly those of a
 ``Fraction`` tableau, so every pivot choice is the same.  ``certify``
-likewise works on integer numerators over common denominators.
+likewise works on integer numerators over common denominators.  A matrix
+(with its right-hand side, in ``simplex_max``) of plain ``int`` entries,
+such as matchkit's 0/1 coverage matrix, is its own numerators over 1; one
+with any ``Fraction`` entry is first put over its least common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, compress
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -57,11 +62,17 @@ def _scaled(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _integral(rows, *vectors) -> bool:
+    """Whether every entry of ``rows`` and ``vectors`` is an ``int``."""
+    return {int}.issuperset(map(type, chain(*rows, *vectors)))
+
+
 def _eliminate(row: list[int], den: int, f: int, prow: list[int], p: int, cols):
     """row/den - (f/den) * prow/p, reduced: ``prow`` over ``p`` is a pivot
     row whose pivot entry is 1 (numerator ``p``), ``cols`` its nonzero
-    columns, and ``f`` is ``row``'s numerator in the pivot column."""
-    new = row[:] if p == 1 else [p * a for a in row]
+    columns, and ``f`` is ``row``'s numerator in the pivot column.  When
+    ``p`` is 1, ``row`` itself is updated and returned."""
+    new = row if p == 1 else [p * a for a in row]
     for j in cols:
         new[j] -= f * prow[j]
     den *= p
@@ -93,12 +104,18 @@ def simplex_max(
     # Row m holds the reduced costs, c itself in the slack basis (zero on
     # slacks), and -c.x, which the slack basis starts at 0 and no pivot
     # raises above 0, so its column never enters.
-    d = lcm(*(a.denominator for row in rows for a in row), *(b.denominator for b in rhs))
+    # An all-int program is its own numerators over 1.
+    if _integral(rows, rhs):
+        d, nums, bs = 1, rows, rhs
+    else:
+        d = lcm(*(a.denominator for row in rows for a in row), *(b.denominator for b in rhs))
+        nums = [[a.numerator * (d // a.denominator) for a in row] for row in rows]
+        bs = [b.numerator * (d // b.denominator) for b in rhs]
     tab: list[list[int]] = []
-    for i, row in enumerate(rows):
-        new = [a.numerator * (d // a.denominator) for a in row] + [0] * m
+    for i, row in enumerate(nums):
+        new = row + [0] * m  # a new list: pivots update tableau rows in place
         new[n + i] = d
-        new.append(rhs[i].numerator * (d // rhs[i].denominator))
+        new.append(bs[i])
         tab.append(new)
     red, rd = _scaled(c)
     tab.append(red + [0] * (m + 1))
@@ -121,7 +138,7 @@ def simplex_max(
             prow = [v // g for v in prow]
             p //= g
         tab[r], den[r] = prow, p
-        cols = [j for j, v in enumerate(prow) if v]
+        cols = list(compress(range(len(prow)), prow))
         for i in range(m + 1):
             if i != r and tab[i][col]:
                 tab[i], den[i] = _eliminate(tab[i], den[i], tab[i][col], prow, p, cols)
@@ -201,8 +218,11 @@ def certify(c, rows, b, x, duals) -> Fraction:
     X, dx = _scaled(x)
     if any(v < 0 for v in X):
         raise LpInternalError("negative primal variable")
-    da = lcm(*(a.denominator for row in rows for a in row))
-    A = [[a.numerator * (da // a.denominator) for a in row] for row in rows]
+    if _integral(rows):
+        da, A = 1, rows
+    else:
+        da = lcm(*(a.denominator for row in rows for a in row))
+        A = [[a.numerator * (da // a.denominator) for a in row] for row in rows]
     B, db = _scaled(b)
     # rows[i].x <= b[i]  <=>  (A[i].X) * db <= B[i] * da * dx
     scale = da * dx

@@ -11,9 +11,10 @@ from Bland's optimal basis gives duals that are the lexicographically least
 optimal primal point, hence the reported prices; ``solve_lp`` certifies
 that pair, and only it, once.  The best partition comes from a dynamic
 program over (firm, used-worker bitmask) on the same coalitions and values:
-``build_lp_problem`` builds them once per solve, and only
-``check_stable_tu``, the independent re-check of a constructed matching,
-builds them again.  Both sum values as integers over one denominator.
+``build_lp_problem`` builds them once per solve.  ``check_stable_tu``, the
+independent re-check of a constructed matching, reads the same family off
+the market in the same order and builds a ``Coalition`` only for a
+violation.  Both sum values as integers over one denominator.
 """
 
 from __future__ import annotations
@@ -94,12 +95,17 @@ def agent_order(m: TuMarket) -> tuple[str, ...]:
 def potential_coalitions(m: TuMarket) -> list[Coalition]:
     """I u E: all singletons, then every firm coalition {f} u S with S
     acceptable to f and f acceptable to every member of S."""
-    out = [Coalition.singleton(f, is_firm=True) for f in sorted(m.firms)]
-    out += [Coalition.singleton(w, is_firm=False) for w in sorted(m.workers)]
-    for f in sorted(m.firms):
+    # One constructor call per record; a listed set is never empty, since
+    # the market refuses one.
+    firms = sorted(m.firms)
+    empty: WorkerSet = frozenset()
+    out = [Coalition(f, empty) for f in firms]
+    out += [Coalition(None, frozenset((w,))) for w in sorted(m.workers)]
+    wv = m.worker_valuations
+    for f in firms:
         for s in m.acceptable_sets(f):
-            if all(f in m.worker_valuations.get(w, {}) for w in s):
-                out.append(Coalition.of(f, s))
+            if all(f in wv.get(w, ()) for w in s):
+                out.append(Coalition(f, s))
     return out
 
 
@@ -119,14 +125,25 @@ def _scaled_values(m: TuMarket, coalitions, *dens: int) -> tuple[list[int], int]
     """The values V(S) of coalitions in I u E as integers over ``scale``, a
     common denominator of ``dens`` and the market's values; and ``scale``."""
     fv, wv = m.firm_valuations, m.worker_valuations
-    scale = math.lcm(
-        *dens, *(v.denominator for d in (fv, wv) for vals in d.values() for v in vals.values())
-    )
+    scale = _scale(m, *dens)
     out = [0] * len(coalitions)
     for k, (f, s) in enumerate(coalitions):
         if f is not None and s:
             out[k] = _num(fv[f][s], scale) + sum(_num(wv[w][f], scale) for w in s)
     return out, scale
+
+
+def _scale(m: TuMarket, *dens: int) -> int:
+    """The least common multiple of ``dens`` and the market's denominators."""
+    return math.lcm(
+        *dens,
+        *(
+            v.denominator
+            for d in (m.firm_valuations, m.worker_valuations)
+            for vals in d.values()
+            for v in vals.values()
+        ),
+    )
 
 
 def _num(v: Fraction, scale: int) -> int:
@@ -240,9 +257,12 @@ def _lex_min_primal(rows, objective) -> LpResult:
 def check_stable_tu(m: TuMarket, mu: TuMatching) -> TuStabilityVerdict:
     """Individual rationality plus the transferable-utility no-blocking
     test: every potential coalition's members must jointly hold at least the
-    coalition's value, rebuilt from the market.  Both sides are integers over
-    one denominator.  Once every partner is acceptable, the verdict carries
-    the utilities (``model.tu_utilities``)."""
+    coalition's value.  One pass over each firm's acceptable sets, skipping a
+    set with a member who does not value the firm, visits the firm
+    coalitions of ``potential_coalitions`` in its order; values come from the
+    market and holdings from the matching, both integers over one
+    denominator.  Once every partner is acceptable, the verdict carries the
+    utilities (``model.tu_utilities``)."""
     problems = validate_tu_matching(m, mu)
     if problems:
         raise InvalidMarketError("; ".join(problems))
@@ -269,9 +289,7 @@ def check_stable_tu(m: TuMarket, mu: TuMatching) -> TuStabilityVerdict:
     if violations:
         return TuStabilityVerdict(stable=False, violations=tuple(violations))
 
-    firm_coalitions = [c for c in potential_coalitions(m) if not c.is_singleton]
-    dens = (p.denominator for p in mu.prices.values())
-    values, scale = _scaled_values(m, firm_coalitions, *dens)
+    scale = _scale(m, *(p.denominator for p in mu.prices.values()))
     # Utilities in integers over scale; an unmatched worker's price is 0.
     held = dict.fromkeys(m.workers, 0)
     held.update((f, _num(fv[f][s], scale) if s else 0) for f, s in staff.items())
@@ -286,14 +304,24 @@ def check_stable_tu(m: TuMarket, mu: TuMatching) -> TuStabilityVerdict:
             violations.append(
                 StabilityViolation(kind="ir", agent=a, deficit=deficit, note="negative utility")
             )
-    for c, value in zip(firm_coalitions, values):
-        have = held[c.firm] + sum(held[w] for w in c.workers)
-        if have < value:
-            violations.append(
-                StabilityViolation(
-                    kind="block", coalition=c, deficit=Fraction(value - have, scale)
-                )
-            )
+    # excess[f][w] is worker w's holding less its value for f, for each w who
+    # values f; a coalition's excess over its value is then its firm's
+    # holding less v_f(S) plus its members' entries.
+    excess: dict[str, dict[str, int]] = {f: {} for f in m.firms}
+    for w, vals in wv.items():
+        for f, v in vals.items():
+            excess[f][w] = held[w] - _num(v, scale)
+    for f in sorted(m.firms):
+        over, v_f = excess[f], fv.get(f, {})
+        for s in m.acceptable_sets(f):
+            if s <= over.keys():
+                gap = held[f] - _num(v_f[s], scale) + sum(map(over.__getitem__, s))
+                if gap < 0:
+                    violations.append(
+                        StabilityViolation(
+                            kind="block", coalition=Coalition(f, s), deficit=Fraction(-gap, scale)
+                        )
+                    )
     return TuStabilityVerdict(
         stable=not violations,
         violations=tuple(violations),

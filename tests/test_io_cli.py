@@ -336,7 +336,7 @@ class TestCmdSolveDiscrete:
         assert code == 2
         assert capsys.readouterr() == (
             "",
-            "error: start matching names unknown agents: [('w9', 'f1'), ('w2', 'f9')]\n",
+            "error: assignment for unknown worker 'w9'; worker 'w2' assigned to unknown firm 'f9'\n",
         )
 
     @pytest.mark.parametrize("start", [["--start", "START"], ["--start=START"], ["--first", "--start", "START"]])

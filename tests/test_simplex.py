@@ -1,4 +1,5 @@
 from collections import Counter
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from matchkit.generator import SplitMix64
 from matchkit.model import TuMarket
 from matchkit.simplex import LpInternalError, LpResult, certify, simplex_max
 
-from golden import tied_game
+from golden import assignment_game, tied_game
 
 F = Fraction
 ZERO = F(0)
@@ -527,6 +528,46 @@ def test_certify_matches_the_fraction_certifier_on_perturbed_pairs():
         "dual constraint violated",
         "duality gap at claimed optimum",
     }
+
+
+def _leaves_its_arguments_alone(c, rows, rhs):
+    """simplex_max and certify each leave their arguments equal to deep
+    copies taken before the call: pivots update tableau rows in place, so no
+    tableau row may be the caller's."""
+    if any(b < 0 for b in rhs):
+        # simplex_max refuses the program; certify the reference's pair.
+        res = dense_simplex_max(c, rows, rhs)
+    else:
+        before = deepcopy((c, rows, rhs))
+        res = simplex_max(c, rows, rhs)
+        assert (c, rows, rhs) == before
+    before = deepcopy((c, rows, rhs, res.x, res.duals))
+    certify(c, rows, rhs, res.x, res.duals)
+    assert (c, rows, rhs, res.x, res.duals) == before
+
+
+@pytest.mark.parametrize("n_firms,n_workers", [(3, 5), (4, 4), (5, 6)])
+def test_simplex_and_certify_leave_coverage_programs_alone(monkeypatch, n_firms, n_workers):
+    # The coverage program solve_lp builds: 0/1 int rows and a right-hand
+    # side of int ones, which both functions take as their own numerators.
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return simplex_max(*args)
+
+    monkeypatch.setattr(tu_solver, "simplex_max", recording)
+    for seed in range(3):
+        tu_solver.solve_lp(tu_solver.build_lp_problem(assignment_game(n_firms, n_workers, seed)))
+    assert len(calls) == 3
+    for c, rows, rhs in calls:
+        assert {type(a) for row in (*rows, rhs) for a in row} == {int}
+        _leaves_its_arguments_alone(c, rows, rhs)
+
+
+def test_simplex_and_certify_leave_rational_programs_alone():
+    for c, rows, rhs, _ in RATIONAL_PROGRAMS:
+        _leaves_its_arguments_alone(c, rows, rhs)
 
 
 def test_lex_duals_are_the_tie_stage_least_dual_point():
