@@ -4,9 +4,10 @@ A firm's demand type collects the difference vectors of chosen sets as the
 available pool expands; entries live in {-1,0,1}.  They are read off pairs
 of satisfactory sets (Ch(S) = S), with no enumeration of subsets.  Total
 unimodularity of the union is tested with exact integer determinants of the
-Eulerian square submatrices only (Camion 1965), under the work budget, and
-a qualifying nontrivial odd cycle is converted into an explicit square
-submatrix of demand vectors with |det| = 2.
+Eulerian square submatrices only (Camion 1965), under the work budget; each
+row subset reads its candidate columns off row bitsets.  A qualifying
+nontrivial odd cycle is converted into an explicit square submatrix of
+demand vectors with |det| = 2.
 """
 
 from __future__ import annotations
@@ -142,27 +143,42 @@ def is_totally_unimodular(matrix: IntMatrix, budget: int = DEFAULT_BUDGET) -> Tu
     if r > MAX_TU_DIM or c > MAX_TU_DIM:
         raise SizeGuardExceeded(f"matrix {r}x{c} exceeds {MAX_TU_DIM}x{MAX_TU_DIM}")
     entries = matrix.entries
-    for i in range(r):
-        for j in range(c):
-            if entries[i][j] not in (-1, 0, 1):
-                return TuVerdict(
-                    totally_unimodular=False,
-                    row_indices=(i,),
-                    col_indices=(j,),
-                    determinant=entries[i][j],
-                )
+    # Bit i of col_masks[j], and bit j of row_bits[i], is set when entry
+    # (i, j) is nonzero; the first entry outside {-1, 0, 1} in row-major
+    # order is an order-one violation.
+    col_masks = [0] * c
+    row_bits = []
+    for i, row in enumerate(entries):
+        bits = 0
+        for j, x in enumerate(row):
+            if x:
+                if x not in (-1, 1):
+                    return TuVerdict(
+                        totally_unimodular=False,
+                        row_indices=(i,),
+                        col_indices=(j,),
+                        determinant=x,
+                    )
+                bits |= 1 << j
+                col_masks[j] |= 1 << i
+        row_bits.append(bits)
     spend = _Budget(budget, "unimodularity test").spend
-    # Bit i of col_masks[j] is set when entry (i, j) is nonzero.
-    col_masks = [sum(1 << i for i in range(r) if entries[i][j]) for j in range(c)]
     for k in range(2, min(r, c) + 1):
         for rows in combinations(range(r), k):
             spend()
-            row_mask = sum(1 << i for i in rows)
+            row_mask = some = odd = 0
+            for i in rows:
+                row_mask |= 1 << i
+                some |= row_bits[i]
+                odd ^= row_bits[i]
+            # The columns with an even, nonzero count of entries in ``rows``.
+            even = some & ~odd
             kept = []
-            for j, mask in enumerate(col_masks):
-                mask &= row_mask
-                if mask and not mask.bit_count() & 1:
-                    kept.append((j, mask))
+            while even:
+                low = even & -even
+                even ^= low
+                j = low.bit_length() - 1
+                kept.append((j, col_masks[j] & row_mask))
             for combo in combinations(kept, k):
                 spend()
                 odd = cover = 0

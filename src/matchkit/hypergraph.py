@@ -14,7 +14,8 @@ grows with the path, not with the cycles found.  The witness of an
 unbalanced verdict is the first cycle in DFS order, written from its least
 vertex with the smaller of that vertex's neighbours second.  When every edge
 has at most one worker the hypergraph is a bipartite graph and the search
-returns at once.
+returns at once.  The search runs on integer bitmasks of vertices, so a
+membership, overlap or disjointness test is one mask operation.
 """
 
 from __future__ import annotations
@@ -139,6 +140,11 @@ def iter_cycles(h: FirmWorkerHypergraph, budget: int = DEFAULT_BUDGET):
     lists edges in ascending order, so the direction whose first edge is the
     lower index, the one whose closing edge is above its first, comes first;
     it alone is yielded.
+
+    Vertex i is the i-th name in sorted order, and vertex sets are bit
+    masks: ``used`` holds the path's vertices and ``covered`` the union of
+    its edges, which a new path vertex must avoid.  Names are looked up only
+    for a yielded cycle.
     """
     if all(len(s) <= 1 for _, s in h.edges):
         # Consecutive cycle vertices share an edge, so a cycle of length
@@ -146,48 +152,52 @@ def iter_cycles(h: FirmWorkerHypergraph, budget: int = DEFAULT_BUDGET):
         # per edge that graph joins firms to workers only: it is bipartite
         # and has no odd cycle (assignment games, marriage markets).
         return
-    steps = _Budget(budget, "cycle search")
-    members = [h.edge_members(i) for i in range(len(h.edges))]
-    members_sorted = [sorted(ms) for ms in members]
-    by_vertex: dict[str, list[int]] = {v: [] for v in sorted(h.vertices)}
-    for i, ms in enumerate(members):
-        for v in ms:
-            by_vertex[v].append(i)
+    spend = _Budget(budget, "cycle search").spend
+    names = sorted(h.vertices)
+    index = {v: i for i, v in enumerate(names)}
+    mem = []
+    by_vertex: list[list[int]] = [[] for _ in names]
+    for e, (f, s) in enumerate(h.edges):
+        mask = 0
+        for v in (f, *s):
+            i = index[v]
+            mask |= 1 << i
+            by_vertex[i].append(e)
+        mem.append(mask)
 
-    def extend(start, path_v, path_e, used_v, used_e):
-        cur = path_v[-1]
-        for e in by_vertex[cur]:
-            if e in used_e:
+    def extend(start, above, path_v, path_e, used, covered):
+        for e in by_vertex[path_v[-1]]:
+            if e in path_e:
                 continue
-            steps.spend()
-            overlap = len(members[e] & used_v)
+            spend()
+            members = mem[e]
+            overlap = (members & used).bit_count()
             # Close the cycle back to the start vertex (nontrivial: see above).
-            if len(path_v) % 2 == 1 and overlap == 2 and start in members[e] and path_e[0] < e:
+            if len(path_v) % 2 == 1 and overlap == 2 and members >> start & 1 and path_e[0] < e:
                 if path_v[1] < path_v[-1]:
-                    yield HyperCycle(tuple(path_v), (*path_e, e))
+                    vs, es = path_v, (*path_e, e)
                 else:
-                    yield HyperCycle((start, *path_v[:0:-1]), (e, *path_e[::-1]))
+                    vs, es = (start, *path_v[:0:-1]), (e, *path_e[::-1])
+                yield HyperCycle(tuple([names[v] for v in vs]), es)
             if overlap > 1:
                 # e already meets two path vertices; a third is inevitable
                 # if we extend through it.
                 continue
-            for v in members_sorted[e]:
-                if v <= start or v in used_v:
-                    continue
-                if any(v in members[e2] for e2 in used_e):
-                    continue
-                path_v.append(v)
+            fresh = members & above & ~used & ~covered
+            if fresh:
                 path_e.append(e)
-                used_v.add(v)
-                used_e.add(e)
-                yield from extend(start, path_v, path_e, used_v, used_e)
-                path_v.pop()
+                # Passed down, never removed again: path edges overlap.
+                deeper = covered | members
+                while fresh:
+                    low = fresh & -fresh
+                    fresh ^= low
+                    path_v.append(low.bit_length() - 1)
+                    yield from extend(start, above, path_v, path_e, used | low, deeper)
+                    path_v.pop()
                 path_e.pop()
-                used_v.remove(v)
-                used_e.remove(e)
 
-    for start in sorted(h.vertices):
-        yield from extend(start, [start], [], {start}, set())
+    for start in range(len(names)):
+        yield from extend(start, -2 << start, [start], [], 1 << start, 0)
 
 
 def check_balanced(

@@ -12,7 +12,9 @@ identical values produce identical bytes.
 
 ``load_json`` reads each file once, so the SHA-256 it records describes the
 bytes parsed.  ``to_json`` writes ``json.dumps(obj, indent=2)``'s bytes
-without the pure-Python encoder that ``json.dumps`` uses when indenting.
+without the pure-Python encoder that ``json.dumps`` uses when indenting; a
+list item that is exactly a ``str`` or an ``int`` is written in place,
+with no recursive call.
 """
 
 from __future__ import annotations
@@ -252,7 +254,13 @@ def _write(obj, out: list, nl: str, sort_keys: bool) -> None:
         for item in obj:
             out.append(sep)
             sep = "," + inner
-            _write(item, out, inner, sort_keys)
+            # Exact types only: bools and subclasses take the general path.
+            if type(item) is str:
+                out.append(_escape(item))
+            elif type(item) is int:
+                out.append(int.__repr__(item))
+            else:
+                _write(item, out, inner, sort_keys)
         out.append(nl + "]" if obj else "[]")
     elif isinstance(obj, dict):
         inner = nl + "  "

@@ -322,19 +322,6 @@ class Coalition(_CoalitionFields):
             raise ValueError("a firmless coalition must be a single worker")
         return super().__new__(cls, firm, workers)
 
-    @classmethod
-    def singleton(cls, agent: str, *, is_firm: bool) -> "Coalition":
-        if is_firm:
-            return cls(agent, frozenset())
-        return cls(None, frozenset({agent}))
-
-    @classmethod
-    def of(cls, firm: str, workers: Iterable[str]) -> "Coalition":
-        ws = frozenset(workers)
-        if not ws:
-            raise ValueError("use Coalition.singleton for one-agent coalitions")
-        return cls(firm, ws)
-
     @property
     def is_singleton(self) -> bool:
         return self.firm is None or not self.workers

@@ -22,6 +22,7 @@ from matchkit.hypergraph import iter_cycles
 from matchkit.io import load_market
 from matchkit.model import DEFAULT_BUDGET, satisfactory_sets
 
+import tu_oracles
 from cycle_oracles import cycle_incidence_matrix
 from golden import SUITE_PARAMS
 
@@ -138,6 +139,54 @@ def banded(r: int, c: int, width: int, signed: bool = False) -> IntMatrix:
         cols=tuple(f"c{j}" for j in range(c)),
         entries=tuple(entries),
     )
+
+
+BANDED_SHAPES = [(4, 6), (6, 8), (8, 10), (9, 12)]
+
+
+def banded_matrices(shape):
+    for width in (2, 3) if shape != (9, 12) else (3,):
+        for signed in (False, True):
+            yield banded(*shape, width, signed)
+
+
+def random_matrix(r: int, c: int, draw) -> IntMatrix:
+    """An r x c matrix of ``draw()`` values, drawn row by row."""
+    return IntMatrix(
+        rows=tuple(f"r{i}" for i in range(r)),
+        cols=tuple(f"c{j}" for j in range(c)),
+        entries=tuple(tuple(draw() for _ in range(c)) for _ in range(r)),
+    )
+
+
+def random_sign_matrices():
+    """2,000 random sign matrices of up to 6 x 9, at four densities."""
+    rng = SplitMix64(2024)
+    for n in range(2000):
+        r, c = rng.randint(1, 6), rng.randint(1, 9)
+        density = (3, 5, 7, 10)[n % 4]
+        yield random_matrix(
+            r, c, lambda: (2 * rng.randint(0, 1) - 1) if rng.randint(0, 9) < density else 0
+        )
+
+
+def wide_entry_matrices():
+    """200 random matrices of up to 5 x 6, one entry in 20 drawn from
+    [-2, 2] and the rest from {-1, 0, 1}: 38 of them stop at the order-one
+    entry check, at a bad entry in various positions."""
+    rng = SplitMix64(31)
+    for _ in range(200):
+        r, c = rng.randint(1, 5), rng.randint(1, 6)
+        yield random_matrix(
+            r, c, lambda: rng.randint(-2, 2) if rng.randint(0, 19) == 0 else rng.randint(-1, 1)
+        )
+
+
+def demand_matrices():
+    """The pooled demand-type matrices of suite seeds 0-299, with their seeds."""
+    for seed in range(300):
+        m = gen_discrete_market(GenParams(seed=seed, **SUITE_PARAMS))
+        yield seed, demand_type(m).matrix()
 
 
 def matrix_of(columns):
@@ -319,22 +368,8 @@ class TestTotallyUnimodular:
         assert abs(verdict.determinant) == 2
 
     def test_agrees_with_exhaustive_search_on_random_sign_matrices(self):
-        rng = SplitMix64(2024)
         non_tu = 0
-        for n in range(2000):
-            r, c = rng.randint(1, 6), rng.randint(1, 9)
-            density = (3, 5, 7, 10)[n % 4]
-            m = IntMatrix(
-                rows=tuple(f"r{i}" for i in range(r)),
-                cols=tuple(f"c{j}" for j in range(c)),
-                entries=tuple(
-                    tuple(
-                        (2 * rng.randint(0, 1) - 1) if rng.randint(0, 9) < density else 0
-                        for _ in range(c)
-                    )
-                    for _ in range(r)
-                ),
-            )
+        for m in random_sign_matrices():
             verdict = is_totally_unimodular(m)
             assert verdict == exhaustive_tu_oracle(m), m.entries
             non_tu += not verdict.totally_unimodular
@@ -342,22 +377,16 @@ class TestTotallyUnimodular:
 
     def test_agrees_with_exhaustive_search_on_demand_matrices(self):
         non_tu = 0
-        for seed in range(300):
-            m = gen_discrete_market(GenParams(seed=seed, **SUITE_PARAMS))
-            matrix = demand_type(m).matrix()
+        for seed, matrix in demand_matrices():
             verdict = is_totally_unimodular(matrix)
             assert verdict == exhaustive_tu_oracle(matrix), seed
             non_tu += not verdict.totally_unimodular
         assert 50 <= non_tu <= 250
 
-    @pytest.mark.parametrize(
-        "shape", [(4, 6), (6, 8), (8, 10), (9, 12)], ids=lambda s: "%dx%d" % s
-    )
+    @pytest.mark.parametrize("shape", BANDED_SHAPES, ids=lambda s: "%dx%d" % s)
     def test_agrees_with_exhaustive_search_on_banded_matrices(self, shape):
-        for width in (2, 3) if shape != (9, 12) else (3,):
-            for signed in (False, True):
-                m = banded(*shape, width, signed)
-                assert is_totally_unimodular(m) == exhaustive_tu_oracle(m)
+        for m in banded_matrices(shape):
+            assert is_totally_unimodular(m) == exhaustive_tu_oracle(m)
         assert is_totally_unimodular(banded(*shape, 3)).totally_unimodular
 
     def test_determinants_only_of_eulerian_submatrices(self, monkeypatch):
@@ -399,6 +428,58 @@ class TestTotallyUnimodular:
             n = rng.randint(1, 4)
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             assert bareiss_determinant(rows) == cofactor_determinant(rows)
+
+
+def _tu_outcome(search, matrix, budget):
+    """A search's verdict, or its budget error if it stops on one."""
+    try:
+        return search(matrix, budget)
+    except WorkBudgetExceeded as e:
+        return str(e)
+
+
+class TestAgainstTheColumnScan:
+    """``is_totally_unimodular`` is the column scan of ``tu_oracles`` with
+    its kept columns read off row bitsets: the same verdicts, witnesses and
+    budget steps on the random-sign, wide-entry, demand-matrix and banded
+    corpora, and the same verdict or budget error under a small budget."""
+
+    MATRICES = [
+        *random_sign_matrices(),
+        *wide_entry_matrices(),
+        *(m for _, m in demand_matrices()),
+        *(m for shape in BANDED_SHAPES for m in banded_matrices(shape)),
+    ]
+
+    def test_same_verdicts_and_steps(self, monkeypatch):
+        spent = []
+
+        class Recorded(analysis._Budget):
+            __slots__ = ()
+
+            def __init__(self, steps, search):
+                super().__init__(steps, search)
+                spent.append(self)
+
+        monkeypatch.setattr(analysis, "_Budget", Recorded)
+        monkeypatch.setattr(tu_oracles, "_Budget", Recorded)
+        non_tu = 0
+        for m in self.MATRICES:
+            spent.clear()
+            got = is_totally_unimodular(m)
+            assert got == tu_oracles.is_totally_unimodular(m), m.entries
+            assert [b.left for b in spent[:1]] == [b.left for b in spent[1:]], m.entries
+            non_tu += not got.totally_unimodular
+        assert 0 < non_tu < len(self.MATRICES)
+
+    @pytest.mark.parametrize("budget", [0, 1, 5, 50])
+    def test_same_outcome_under_a_small_budget(self, budget):
+        exits = 0
+        for m in self.MATRICES:
+            got = _tu_outcome(is_totally_unimodular, m, budget)
+            assert got == _tu_outcome(tu_oracles.is_totally_unimodular, m, budget), m.entries
+            exits += isinstance(got, str)
+        assert 0 < exits < len(self.MATRICES)
 
 
 class TestProp1:

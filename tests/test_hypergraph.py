@@ -459,6 +459,23 @@ class TestAgainstTheFourModeSearch:
         assert got == want
         assert got[0] and got[1] is not None
 
+    def test_same_prefix_on_guard_limit_markets(self):
+        # TU markets at the size guard; seed 10's first witness is the
+        # costliest search among them.  Every one of the 40 searches stops
+        # on the budget, most after yielding cycles.
+        with_cycles = 0
+        for seed in range(40):
+            market = gen_tu_market(GenParams(
+                seed=seed, firm_count=8, worker_count=12,
+                max_acceptable_sets_per_firm=8, max_set_size=4))
+            h = build_hypergraph(market)
+            got = _run(iter_cycles(h, budget=20_000))
+            want = _run(cycle_oracles.iter_cycles(
+                h, odd_only=True, nontrivial_only=True, budget=20_000))
+            assert got == want, seed
+            with_cycles += bool(got[0])
+        assert with_cycles > 20
+
     def test_search_memory_grows_with_the_path(self):
         # Nothing is kept per cycle found: the 6,949 cycles before this
         # budget exit leave the peak where the path puts it.

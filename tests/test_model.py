@@ -184,19 +184,19 @@ class TestSatisfactorySets:
 
 class TestCoalitionValue:
     def test_intro_pair(self, intro_tu):
-        c = Coalition.of("f1", {"w1", "w2"})
+        c = Coalition("f1", fs({"w1", "w2"}))
         assert coalition_value(intro_tu, c) == 6
 
     def test_singletons_are_zero(self, intro_tu):
-        assert coalition_value(intro_tu, Coalition.singleton("f1", is_firm=True)) == 0
-        assert coalition_value(intro_tu, Coalition.singleton("w1", is_firm=False)) == 0
+        assert coalition_value(intro_tu, Coalition("f1", fs())) == 0
+        assert coalition_value(intro_tu, Coalition(None, fs({"w1"}))) == 0
 
     def test_example1_f2_w1(self, example1_tu):
-        assert coalition_value(example1_tu, Coalition.of("f2", {"w1"})) == 2
+        assert coalition_value(example1_tu, Coalition("f2", fs({"w1"}))) == 2
 
     def test_outside_family_rejected(self, intro_tu):
         with pytest.raises(ValueError):
-            coalition_value(intro_tu, Coalition.of("f1", {"w1"}))
+            coalition_value(intro_tu, Coalition("f1", fs({"w1"})))
 
     def test_worker_acceptability_required(self):
         m = TuMarket(
@@ -206,7 +206,7 @@ class TestCoalitionValue:
             worker_valuations={"w": {}},
         )
         with pytest.raises(ValueError):
-            coalition_value(m, Coalition.of("f", {"w"}))
+            coalition_value(m, Coalition("f", fs({"w"})))
 
     def test_additive_in_worker_valuations(self, example1_tu):
         # Bumping v_w(f) by delta moves V({f} u S) by delta exactly when
@@ -224,8 +224,8 @@ class TestCoalitionValue:
                 for w, vals in example1_tu.worker_valuations.items()
             },
         )
-        with_w1 = Coalition.of("f2", {"w1"})
-        without_w1 = Coalition.of("f2", {"w3"})
+        with_w1 = Coalition("f2", fs({"w1"}))
+        without_w1 = Coalition("f2", fs({"w3"}))
         assert coalition_value(bumped, with_w1) == coalition_value(example1_tu, with_w1) + delta
         assert coalition_value(bumped, without_w1) == coalition_value(example1_tu, without_w1)
 

@@ -102,7 +102,7 @@ SAMPLES = {
     ),
     TuLpProblem: lambda: TuLpProblem(
         agents=("f1", "w1"),
-        coalitions=(Coalition.singleton("f1", is_firm=True), Coalition("f1", fs({"w1"}))),
+        coalitions=(Coalition("f1", fs()), Coalition("f1", fs({"w1"}))),
         values=(F(0), F(4)),
     ),
     TuMarket: lambda: TuMarket(

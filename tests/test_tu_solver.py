@@ -241,7 +241,7 @@ class TestSolveLp:
             "{f2,w1}": F(1, 2),
             "{f2,w2}": F(1, 2),
         }
-        assert dual.weights[Coalition.singleton("f1", is_firm=True)] == F(1, 2)
+        assert dual.weights[Coalition("f1", fs())] == F(1, 2)
 
     def test_example1_primal_point(self, example1_tu):
         x, dual = solve_lp(build_lp_problem(example1_tu))
