@@ -184,10 +184,10 @@ def parse_matching(data, kind: str) -> TuMatching | DiscreteMatching:
         if not isinstance(f, str):
             raise MarketFormatError(f"assignment for {w} must name a firm")
     if kind == "tu":
-        prices = {
-            w: _rational(v, f"price for {w}")
-            for w, v in data.get("prices", {}).items()
-        }
+        prices = data.get("prices", {})
+        if not isinstance(prices, dict):
+            raise MarketFormatError('matching file "prices" must be an object')
+        prices = {w: _rational(v, f"price for {w}") for w, v in prices.items()}
         return TuMatching(assignment=dict(assignment), prices=prices)
     return DiscreteMatching(assignment=dict(assignment))
 

@@ -414,7 +414,10 @@ def tu_utilities(m: TuMarket, mu: TuMatching) -> dict[str, Fraction]:
     """Per-agent utilities under (mu, p): firms get v_f(set) minus wages,
     workers get v_w(firm) plus wage.  A ValueError names the first agent,
     firms then workers in id order, paired with an unacceptable partner
-    (utility undefined)."""
+    (utility undefined).  It stays apart from the integer sums of
+    ``tu_solver.check_stable_tu``: it is the Fraction reference that the
+    test oracles and the benchmark gate hold that re-check against, and
+    folding the two would check the code against itself."""
     problems = validate_tu_matching(m, mu)
     if problems:
         raise InvalidMarketError("; ".join(problems))

@@ -1,4 +1,4 @@
-"""Exact simplex over rationals.
+"""Exact simplex on integer programs.
 
 Solves  max c.x  subject to  A x <= b,  x >= 0  with Bland's smallest-index
 anti-cycling rule, starting from the slack basis.  That basis is feasible
@@ -16,26 +16,25 @@ dual point: least b.y, then least y_1, then y_2 and so on.  A solve is not
 certified: the caller certifies the pair of points it reports with
 ``certify`` (primal and dual feasibility, equal objective values), once.
 
-Inputs may be ``int`` or ``Fraction``; outputs are ``Fraction``.  Inside,
-each tableau row (and each reduced-cost row) is a list of ``int``
-numerators over one positive ``int`` row denominator, and pivots are
-fraction-free in the manner of Edmonds (1967) and Bareiss (1968): the row
-becomes  p*row - f*pivot_row  over  den*p,  subtracting on the pivot row's
-nonzero columns only, and a row over a denominator above 1 is reduced by its
-gcd.  On a totally unimodular program every pivot is 1, every denominator
-stays 1 and rows are updated in place; the tableau's rows are its own
-lists, never the caller's.  The rationals stored are exactly those of a
+The program is an integer one: ``c``, the rows and the right-hand side
+hold ``int``s; outputs are ``Fraction``.  Inside, each tableau row (and
+each reduced-cost row) is a list of ``int`` numerators over one positive
+``int`` row denominator, 1 at the start, and pivots are fraction-free in
+the manner of Edmonds (1967) and Bareiss (1968): the row becomes
+p*row - f*pivot_row  over  den*p,  subtracting on the pivot row's nonzero
+columns only, and a row over a denominator above 1 is reduced by its gcd.
+On a totally unimodular program every pivot is 1, every denominator stays
+1 and rows are updated in place; the tableau's rows are its own lists,
+never the caller's.  The rationals stored are exactly those of a
 ``Fraction`` tableau, so every pivot choice is the same.  ``certify``
-likewise works on integer numerators over common denominators.  A matrix
-(with its right-hand side, in ``simplex_max``) of plain ``int`` entries,
-such as matchkit's 0/1 coverage matrix, is its own numerators over 1; one
-with any ``Fraction`` entry is first put over its least common denominator.
+likewise compares integer numerators, with the rational points over their
+least common denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -62,11 +61,6 @@ def _scaled(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _integral(rows, *vectors) -> bool:
-    """Whether every entry of ``rows`` and ``vectors`` is an ``int``."""
-    return {int}.issuperset(map(type, chain(*rows, *vectors)))
-
-
 def _eliminate(row: list[int], den: int, f: int, prow: list[int], p: int, cols):
     """row/den - (f/den) * prow/p, reduced: ``prow`` over ``p`` is a pivot
     row whose pivot entry is 1 (numerator ``p``), ``cols`` its nonzero
@@ -83,11 +77,7 @@ def _eliminate(row: list[int], den: int, f: int, prow: list[int], p: int, cols):
     return new, den
 
 
-def simplex_max(
-    c: list[Fraction],
-    rows: list[list[Fraction]],
-    rhs: list[Fraction],
-) -> LpResult:
+def simplex_max(c: list[int], rows: list[list[int]], rhs: list[int]) -> LpResult:
     """Maximize c.x s.t. rows[i].x <= rhs[i] for all i, x >= 0 by Bland's
     rule, starting from the slack basis, which is feasible only when every
     right-hand side is nonnegative (a ValueError otherwise).  The
@@ -100,26 +90,17 @@ def simplex_max(
 
     # Tableau columns: n decision vars, m slacks, then the right-hand side.
     # Row i < m holds the equation for basis[i]: numerators tab[i] over
-    # den[i], which starts as the least common denominator of the program.
-    # Row m holds the reduced costs, c itself in the slack basis (zero on
-    # slacks), and -c.x, which the slack basis starts at 0 and no pivot
-    # raises above 0, so its column never enters.
-    # An all-int program is its own numerators over 1.
-    if _integral(rows, rhs):
-        d, nums, bs = 1, rows, rhs
-    else:
-        d = lcm(*(a.denominator for row in rows for a in row), *(b.denominator for b in rhs))
-        nums = [[a.numerator * (d // a.denominator) for a in row] for row in rows]
-        bs = [b.numerator * (d // b.denominator) for b in rhs]
+    # den[i].  Row m holds the reduced costs, c itself in the slack basis
+    # (zero on slacks), and -c.x, which the slack basis starts at 0 and no
+    # pivot raises above 0, so its column never enters.
     tab: list[list[int]] = []
-    for i, row in enumerate(nums):
+    for i, row in enumerate(rows):
         new = row + [0] * m  # a new list: pivots update tableau rows in place
-        new[n + i] = d
-        new.append(bs[i])
+        new[n + i] = 1
+        new.append(rhs[i])
         tab.append(new)
-    red, rd = _scaled(c)
-    tab.append(red + [0] * (m + 1))
-    den = [d] * m + [rd]
+    tab.append(c + [0] * (m + 1))
+    den = [1] * (m + 1)
     basis = list(range(n, n + m))
 
     def pivot(r: int, col: int) -> None:
@@ -213,40 +194,31 @@ def certify(c, rows, b, x, duals) -> Fraction:
     its dual  min b.y  s.t.  rows^T y >= c,  y >= 0  at the pair (x, duals),
     or raise LpInternalError unless both points are feasible with equal
     values.  Equal values make both optimal and imply complementary
-    slackness.  Each vector is compared as integer numerators over one
-    common denominator."""
+    slackness.  ``x`` and ``duals`` are compared as integer numerators over
+    their least common denominators."""
     X, dx = _scaled(x)
     if any(v < 0 for v in X):
         raise LpInternalError("negative primal variable")
-    if _integral(rows):
-        da, A = 1, rows
-    else:
-        da = lcm(*(a.denominator for row in rows for a in row))
-        A = [[a.numerator * (da // a.denominator) for a in row] for row in rows]
-    B, db = _scaled(b)
-    # rows[i].x <= b[i]  <=>  (A[i].X) * db <= B[i] * da * dx
-    scale = da * dx
-    for row, bi in zip(A, B):
-        if sum(a * xj for a, xj in zip(row, X) if a) * db > bi * scale:
+    # rows[i].x <= b[i]  <=>  rows[i].X <= b[i] * dx
+    for row, bi in zip(rows, b):
+        if sum(a * xj for a, xj in zip(row, X) if a) > bi * dx:
             raise LpInternalError("primal constraint violated")
     Y, dy = _scaled(duals)
     if any(v < 0 for v in Y):
         raise LpInternalError("negative dual variable")
-    C, dc = _scaled(c)
-    # (rows^T y)[j] >= c[j]  <=>  (Y.A[:, j]) * dc >= C[j] * da * dy
-    col = [0] * len(C)
-    for yi, row in zip(Y, A):
+    # (rows^T y)[j] >= c[j]  <=>  (Y.rows[:, j]) >= c[j] * dy
+    col = [0] * len(c)
+    for yi, row in zip(Y, rows):
         if yi:
             for j, a in enumerate(row):
                 if a:
                     col[j] += yi * a
-    scale = da * dy
-    for s, cj in zip(col, C):
-        if s * dc < cj * scale:
+    for s, cj in zip(col, c):
+        if s < cj * dy:
             raise LpInternalError("dual constraint violated")
-    # b.y = dual / (db * dy)  and  c.x = value / (dc * dx)
-    dual = sum(yi * bi for yi, bi in zip(Y, B))
-    value = sum(cj * xj for cj, xj in zip(C, X))
-    if dual * dc * dx != value * db * dy:
+    # b.y = dual / dy  and  c.x = value / dx
+    dual = sum(yi * bi for yi, bi in zip(Y, b))
+    value = sum(cj * xj for cj, xj in zip(c, X))
+    if dual * dx != value * dy:
         raise LpInternalError("duality gap at claimed optimum")
-    return Fraction(value, dc * dx)
+    return Fraction(value, dx)

@@ -11,10 +11,11 @@ from Bland's optimal basis gives duals that are the lexicographically least
 optimal primal point, hence the reported prices; ``solve_lp`` certifies
 that pair, and only it, once.  The best partition comes from a dynamic
 program over (firm, used-worker bitmask) on the same coalitions and values:
-``build_lp_problem`` builds them once per solve.  ``check_stable_tu``, the
-independent re-check of a constructed matching, reads the same family off
-the market in the same order and builds a ``Coalition`` only for a
-violation.  Both sum values as integers over one denominator.
+``build_lp_problem`` builds them once per solve, each value an integer
+numerator over the market's common denominator; only results are divided
+by it.  ``check_stable_tu``, the independent re-check of a constructed
+matching, reads the same family off the market in the same order and
+builds a ``Coalition`` only for a violation; it too sums as integers.
 """
 
 from __future__ import annotations
@@ -42,13 +43,16 @@ ZERO = Fraction(0)
 
 
 class TuLpProblem(NamedTuple):
-    """min sum x(i)  s.t.  sum_{i in S} x(i) >= V(S) for S in I u E."""
+    """min sum x(i)  s.t.  sum_{i in S} x(i) >= V(S) for S in I u E, with
+    each V(S) in ``values`` as its integer numerator over ``scale``, the
+    least common denominator of the market's values."""
 
     agents: tuple[str, ...]
     coalitions: tuple[Coalition, ...]
-    values: tuple[Fraction, ...]
+    values: tuple[int, ...]
+    scale: int
 
-    def firm_coalitions(self) -> list[tuple[Coalition, Fraction]]:
+    def firm_coalitions(self) -> list[tuple[Coalition, int]]:
         return [
             (c, v)
             for c, v in zip(self.coalitions, self.values)
@@ -116,21 +120,19 @@ def build_lp_problem(m: TuMarket) -> TuLpProblem:
         raise SizeGuardExceeded(
             f"{len(coalitions)} coalitions > guard {DEFAULT_GUARD.max_coalitions}"
         )
-    nums, scale = _scaled_values(m, coalitions)
-    values = tuple(Fraction(v, scale) if v else ZERO for v in nums)
-    return TuLpProblem(agents=agent_order(m), coalitions=coalitions, values=values)
+    return TuLpProblem(agent_order(m), coalitions, *_scaled_values(m, coalitions))
 
 
-def _scaled_values(m: TuMarket, coalitions, *dens: int) -> tuple[list[int], int]:
-    """The values V(S) of coalitions in I u E as integers over ``scale``, a
-    common denominator of ``dens`` and the market's values; and ``scale``."""
+def _scaled_values(m: TuMarket, coalitions) -> tuple[tuple[int, ...], int]:
+    """The values V(S) of coalitions in I u E as integers over ``scale``, the
+    least common denominator of the market's values; and ``scale``."""
     fv, wv = m.firm_valuations, m.worker_valuations
-    scale = _scale(m, *dens)
+    scale = _scale(m)
     out = [0] * len(coalitions)
     for k, (f, s) in enumerate(coalitions):
         if f is not None and s:
             out[k] = _num(fv[f][s], scale) + sum(_num(wv[w][f], scale) for w in s)
-    return out, scale
+    return tuple(out), scale
 
 
 def _scale(m: TuMarket, *dens: int) -> int:
@@ -159,16 +161,15 @@ def max_partition_value(
     by dynamic programming over (firm, used workers); returns the
     lexicographically-first maximizer in (firm order, set order).  Each
     (state, option) pair evaluated spends one budget step."""
-    # Totals are summed as integers over a common denominator: exact, and
-    # much cheaper than adding Fractions.
-    nums, scale = _scaled(problem.values)
+    # Totals sum the values' numerators over problem.scale: exact, and much
+    # cheaper than adding Fractions.
     # Which bit stands for which worker changes neither the totals nor the
     # number of states, so bits go out in the order workers are first seen.
     bit: dict[str, int] = {}
     # Firms come in the order of their singletons, which list first and
     # stand for the empty set.
     options: dict[str, list] = {}
-    for c, v in zip(problem.coalitions, nums):
+    for c, v in zip(problem.coalitions, problem.values):
         if c.firm is not None:
             mask = sum(bit.setdefault(w, 1 << len(bit)) for w in c.workers)
             options.setdefault(c.firm, []).append((c.workers, mask, v))
@@ -204,7 +205,7 @@ def max_partition_value(
                 used |= mask
                 target -= v
                 break
-    return Fraction(total, scale), partition
+    return Fraction(total, problem.scale), partition
 
 
 def solve_lp(problem: TuLpProblem) -> tuple[dict[str, Fraction], DualSolution]:
@@ -214,7 +215,9 @@ def solve_lp(problem: TuLpProblem) -> tuple[dict[str, Fraction], DualSolution]:
     the all-singletons basis: Bland's rule for the weights, then the
     lexicographic dual phase for the primal point, the lexicographically
     least optimal one in agent order, so that prices are reproducible
-    across optima.  ``simplex.certify`` checks that pair, once.
+    across optima.  ``simplex.certify`` checks that pair, once.  The
+    objective is the values' numerators, so only the value and the duals
+    are divided by ``problem.scale``.
     """
     agents = problem.agents
     idx = {a: i for i, a in enumerate(agents)}
@@ -239,8 +242,9 @@ def solve_lp(problem: TuLpProblem) -> tuple[dict[str, Fraction], DualSolution]:
             slack = dw - sum(w for w, e in zip(ws, rows[idx[a]]) if e)
             if slack:
                 weights[c] = Fraction(slack, dw)
-    dual = DualSolution(weights=weights, value=lp.value)
-    return {a: lp.duals[i] for a, i in idx.items()}, dual
+    scale = problem.scale
+    dual = DualSolution(weights=weights, value=lp.value / scale)
+    return {a: lp.duals[i] / scale for a, i in idx.items()}, dual
 
 
 def _lex_min_primal(rows, objective) -> LpResult:

@@ -9,7 +9,10 @@ once, Bland's rule followed by a lexicographic dual phase, and must report
 this ``simplex_max``'s Bland x and value with its lexicographic-rule duals.
 Kept verbatim as oracles for the differential tests in
 ``test_lp_oracles.py``, together with ``coalition_value``, which left
-``matchkit.model`` once only these oracles and the tests called it."""
+``matchkit.model`` once only these oracles and the tests called it; only
+``solve_lp`` changed since, to read the problem's integer values over its
+scale.  ``integer_program`` puts a rational program over integers, the
+form the package's ``simplex_max`` and ``certify`` take."""
 
 from __future__ import annotations
 
@@ -70,6 +73,16 @@ def _scaled(values) -> tuple[list[int], int]:
     common denominator, and that denominator."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def integer_program(c, rows, rhs):
+    """``max c.x  s.t.  rows.x <= rhs,  x >= 0`` with integer entries: each
+    row with its right-hand side times that row's least common denominator,
+    and ``c`` times its own.  The feasible set, the pivots and ``x`` stay the
+    same; the value scales by c's factor, and the i-th dual by c's factor
+    over row i's."""
+    scaled = [_scaled([*row, b])[0] for row, b in zip(rows, rhs)]
+    return _scaled(c)[0], [r[:-1] for r in scaled], [r[-1] for r in scaled]
 
 
 def _eliminate(row: list[int], den: int, f: int, prow: list[int], p: int):
@@ -243,7 +256,7 @@ def solve_lp(problem: TuLpProblem) -> tuple[dict[str, Fraction], DualSolution]:
         for a in c.members():
             rows[idx[a]][j] = 1
     rhs = [1] * n_rows
-    objective = [v for _, v in firm_cols]
+    objective = [Fraction(v, problem.scale) for _, v in firm_cols]
     result = simplex_max(objective, rows, rhs)
     x = _lex_min_primal(rows, objective)
     certify(objective, rows, rhs, result.x, x)

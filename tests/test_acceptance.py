@@ -223,7 +223,7 @@ def test_criterion_13_lp_self_consistency():
         x, dual = solve_lp(problem)
         primal_value = sum(x.values(), F(0))
         assert primal_value == dual.value
-        values = dict(zip(problem.coalitions, problem.values))
+        values = {c: F(v, problem.scale) for c, v in zip(problem.coalitions, problem.values)}
         for c, w in dual.weights.items():
             assert w >= 0
             if w > 0:

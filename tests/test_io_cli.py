@@ -115,6 +115,11 @@ class TestFormatErrors:
         with pytest.raises(MarketFormatError, match='"edges" must be an array'):
             parse_roadmap({"technologies": {"v1": ["w1"]}, "edges": edges})
 
+    @pytest.mark.parametrize("prices", [[], "x", None])
+    def test_tu_matching_prices_not_an_object(self, prices):
+        with pytest.raises(MarketFormatError, match='"prices" must be an object'):
+            parse_matching({"assignment": {"w1": "f1"}, "prices": prices}, "tu")
+
     @pytest.mark.parametrize(
         "parse,data,message,argv",
         [

@@ -5,6 +5,7 @@ included, must be the same."""
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -96,9 +97,17 @@ def test_lp_results_match_the_oracles_on_tu_markets():
     phase_pivots = Counter()
     for label, m in MARKETS:
         problem = build_lp_problem(m)
-        assert problem.values == tuple(
-            lp_oracles.coalition_value(m, c) for c in problem.coalitions
+        assert problem.scale == lcm(
+            *(
+                v.denominator
+                for d in (m.firm_valuations, m.worker_valuations)
+                for vals in d.values()
+                for v in vals.values()
+            )
         ), label
+        assert [F(v, problem.scale) for v in problem.values] == [
+            lp_oracles.coalition_value(m, c) for c in problem.coalitions
+        ], label
         phase_pivots[same_solve(*coverage_program(problem))] += 1
         ref_x = same_lp(problem, label)
 
@@ -163,9 +172,9 @@ def rational(rng, lo, hi):
 
 def coverage_programs(rng, count):
     """Random coverage-like programs with Fraction rows and right-hand
-    sides: nonnegative rows, mostly zeros, positive right-hand sides, and an
-    objective of either sign.  A column of zeros with a positive cost makes
-    the program unbounded."""
+    sides, put over integers: nonnegative rows, mostly zeros, positive
+    right-hand sides, and an objective of either sign.  A column of zeros
+    with a positive cost makes the program unbounded."""
     for _ in range(count):
         n = rng.randint(1, 7)
         m = rng.randint(1, 6)
@@ -175,7 +184,7 @@ def coverage_programs(rng, count):
         ]
         rhs = [rational(rng, 1, 3) if rng.chance(0.7) else F(1) for _ in range(m)]
         c = [rational(rng, -2, 5) for _ in range(n)]
-        yield c, rows, rhs
+        yield lp_oracles.integer_program(c, rows, rhs)
 
 
 def test_simplex_matches_the_oracle_on_random_coverage_programs():
@@ -248,15 +257,15 @@ def test_certify_runs_once_per_solve_lp(monkeypatch, example1_tu, intro_tu):
 
     monkeypatch.setattr(simplex, "certify", counting)
     monkeypatch.setattr(tu_solver, "certify", counting)
-    for m in (example1_tu, intro_tu, assignment_game(4, 4, 0)):
+    for m in (example1_tu, intro_tu, assignment_game(4, 4, 0), eighths_game(3, 4, 0)):
         calls.clear()
         problem = build_lp_problem(m)
         x, dual = solve_lp(problem)
         assert len(calls) == 1
         # The certified pair is the one reported: Bland's weights with the
-        # lexicographic prices.
+        # lexicographic prices, which are the duals over the problem's scale.
         _, _, _, weights, duals = calls[0]
-        assert duals == [x[a] for a in problem.agents]
+        assert [d / problem.scale for d in duals] == [x[a] for a in problem.agents]
         firm_cols = problem.firm_coalitions()
         assert {c: w for (c, _), w in zip(firm_cols, weights) if w} == {
             c: w for c, w in dual.weights.items() if not c.is_singleton

@@ -103,7 +103,8 @@ SAMPLES = {
     TuLpProblem: lambda: TuLpProblem(
         agents=("f1", "w1"),
         coalitions=(Coalition("f1", fs()), Coalition("f1", fs({"w1"}))),
-        values=(F(0), F(4)),
+        values=(0, 9),
+        scale=2,
     ),
     TuMarket: lambda: TuMarket(
         firms=["f1"],

@@ -11,6 +11,7 @@ from matchkit.model import TuMarket
 from matchkit.simplex import LpInternalError, LpResult, certify, simplex_max
 
 from golden import assignment_game, tied_game
+from lp_oracles import integer_program
 
 F = Fraction
 ZERO = F(0)
@@ -167,7 +168,7 @@ def fraction_certify_oracle(c, rows, b, x, duals):
 
 def test_textbook_max():
     # max x + y  s.t.  x + 2y <= 4,  3x + y <= 6
-    res = simplex_max([F(1), F(1)], [[F(1), F(2)], [F(3), F(1)]], [F(4), F(6)])
+    res = simplex_max([1, 1], [[1, 2], [3, 1]], [4, 6])
     assert res.value == F(14, 5)
     assert res.x == [F(8, 5), F(6, 5)]
 
@@ -176,47 +177,43 @@ def test_negative_rhs_triggers_phase_one():
     # max -x  s.t.  -x <= -2,  x <= 5   (i.e. minimize x over [2, 5]): the
     # slack basis is infeasible, so the dense reference needs phase 1 and
     # simplex_max, which has none, refuses the program.
-    rows, rhs = [[F(-1)], [F(1)]], [F(-2), F(5)]
-    res = dense_simplex_max([F(-1)], rows, rhs)
+    rows, rhs = [[-1], [1]], [-2, 5]
+    res = dense_simplex_max([-1], rows, rhs)
     assert res.value == F(-2)
     assert res.x == [F(2)]
     with pytest.raises(ValueError, match="nonnegative right-hand side"):
-        simplex_max([F(-1)], rows, rhs)
+        simplex_max([-1], rows, rhs)
 
 
 def test_infeasible_detected():
     # x <= -1 with x >= 0 is empty: the reference's phase 1 finds that, and
     # simplex_max refuses the negative right-hand side before pivoting.
     with pytest.raises(LpInternalError, match="infeasible"):
-        dense_simplex_max([F(1)], [[F(1)]], [F(-1)])
+        dense_simplex_max([1], [[1]], [-1])
     with pytest.raises(ValueError, match="nonnegative right-hand side"):
-        simplex_max([F(1)], [[F(1)]], [F(-1)])
+        simplex_max([1], [[1]], [-1])
 
 
 def test_unbounded_detected():
     with pytest.raises(LpInternalError):
-        simplex_max([F(1)], [], [])
+        simplex_max([1], [], [])
 
 
 def test_degenerate_ties_terminate():
     # Multiple rows with identical ratios exercise the Bland tie-break.
-    res = simplex_max(
-        [F(1), F(1)],
-        [[F(1), F(0)], [F(1), F(0)], [F(0), F(1)]],
-        [F(1), F(1), F(1)],
-    )
+    res = simplex_max([1, 1], [[1, 0], [1, 0], [0, 1]], [1, 1, 1])
     assert res.value == F(2)
 
 
 def test_duals_certify_value():
-    rows = [[F(2), F(1)], [F(1), F(3)]]
-    rhs = [F(4), F(6)]
-    res = simplex_max([F(3), F(5)], rows, rhs)
+    rows = [[2, 1], [1, 3]]
+    rhs = [4, 6]
+    res = simplex_max([3, 5], rows, rhs)
     assert sum(y * b for y, b in zip(res.duals, rhs)) == res.value
 
 
 def _random_instances(rng, count=60):
-    """Small bounded, feasible programs: (c, rows, rhs)."""
+    """Small bounded, feasible programs: (c, rows, rhs), put over integers."""
     for _ in range(count):
         n = rng.randint(1, 4)
         m = rng.randint(1, 5)
@@ -227,7 +224,7 @@ def _random_instances(rng, count=60):
         for j in range(n):
             rows.append([F(1) if k == j else F(0) for k in range(n)])
             rhs.append(F(10))
-        yield c, rows, rhs
+        yield integer_program(c, rows, rhs)
 
 
 def _linprog_max(linprog, c, rows, rhs):
@@ -322,16 +319,16 @@ def test_unbounded_tie_detected():
 
 
 def test_certify_rejects_a_suboptimal_pair():
-    rows = [[F(1), F(2)], [F(3), F(1)]]
-    rhs = [F(4), F(6)]
-    res = simplex_max([F(1), F(1)], rows, rhs)
-    assert certify([F(1), F(1)], rows, rhs, res.x, res.duals) == res.value
+    rows = [[1, 2], [3, 1]]
+    rhs = [4, 6]
+    res = simplex_max([1, 1], rows, rhs)
+    assert certify([1, 1], rows, rhs, res.x, res.duals) == res.value
     with pytest.raises(LpInternalError, match="duality gap"):
-        certify([F(1), F(1)], rows, rhs, [F(0), F(0)], res.duals)
+        certify([1, 1], rows, rhs, [F(0), F(0)], res.duals)
     with pytest.raises(LpInternalError, match="primal constraint"):
-        certify([F(1), F(1)], rows, rhs, [F(4), F(0)], res.duals)
+        certify([1, 1], rows, rhs, [F(4), F(0)], res.duals)
     with pytest.raises(LpInternalError, match="dual constraint"):
-        certify([F(1), F(1)], rows, rhs, res.x, [F(0), F(0)])
+        certify([1, 1], rows, rhs, res.x, [F(0), F(0)])
     assert issubclass(LpInternalError, CertificateError)
 
 
@@ -339,7 +336,7 @@ def _sparse_programs(rng, count):
     """Feasible, bounded programs with mostly-zero rows: a random point x0
     fixes the right-hand sides (often tight, so degenerate ratio ties occur,
     and often negative, which simplex_max refuses), and every variable is
-    capped."""
+    capped; put over integers."""
     for _ in range(count):
         n = rng.randint(1, 6)
         m = rng.randint(1, 6)
@@ -354,7 +351,7 @@ def _sparse_programs(rng, count):
             rows.append([F(int(k == j)) for k in range(n)])
             rhs.append(F(10))
         c = [F(rng.randint(-3, 3)) for _ in range(n)]
-        yield c, rows, rhs
+        yield integer_program(c, rows, rhs)
 
 
 def _same_result(c, rows, rhs):
@@ -441,16 +438,17 @@ def test_sparse_pivots_match_dense_pivots_on_assignment_games(monkeypatch, n_fir
 
 
 def _rational(rng, lo, hi):
-    """A value k/d with d drawn from 1, 2, 3 and 7: a plain int when d = 1,
-    so every program mixes int and Fraction entries."""
+    """A value k/d with d drawn from 1, 2, 3 and 7: a plain int when d = 1."""
     d = (1, 2, 3, 7)[rng.randint(0, 3)]
     k = rng.randint(lo * d, hi * d)
     return k if d == 1 else F(k, d)
 
 
 def _rational_programs(rng, count):
-    """_sparse_programs with non-integer entries in rows, rhs, c and ties,
-    so the tableau rows carry denominators other than 1."""
+    """_sparse_programs with non-integer entries in rows, rhs, c and ties.
+    The program is put over integers, whose entries outside {-1, 0, 1} make
+    pivots other than 1 and so tableau rows over denominators other than 1;
+    the ties, for the dense reference only, stay rational."""
     for _ in range(count):
         n = rng.randint(1, 6)
         m = rng.randint(1, 6)
@@ -468,7 +466,7 @@ def _rational_programs(rng, count):
         ties = tuple(
             [_rational(rng, -2, 2) for _ in range(n)] for _ in range(rng.randint(0, 3))
         )
-        yield c, rows, rhs, ties
+        yield (*integer_program(c, rows, rhs), ties)
 
 
 RATIONAL_PROGRAMS = list(_rational_programs(SplitMix64(11), 240))
@@ -479,16 +477,14 @@ def test_integer_tableau_matches_fraction_tableau_on_rational_programs():
     assert counts == (130, 110)
     assert phase_pivots == {0: 108, 1: 2}
     assert any(
-        isinstance(v, Fraction) and v.denominator in (3, 7)
-        for c, rows, rhs, ties in RATIONAL_PROGRAMS
-        for v in (*c, *rhs, *(a for row in rows for a in row), *(a for t in ties for a in t))
+        a not in (-1, 0, 1) for _, rows, _, _ in RATIONAL_PROGRAMS for row in rows for a in row
     )
 
 
-def test_outputs_are_fractions_for_mixed_inputs():
-    # max x + 3/2 y  s.t.  x + 2y <= 4,  3x + y <= 6 (ints and Fractions).
-    res = simplex_max([1, F(3, 2)], [[1, F(2)], [3, 1]], [F(4), 6])
-    assert res.value == F(17, 5)
+def test_outputs_are_fractions_for_int_inputs():
+    # max 2x + 3y  s.t.  x + 2y <= 4,  3x + y <= 6.
+    res = simplex_max([2, 3], [[1, 2], [3, 1]], [4, 6])
+    assert res.value == F(34, 5)
     assert res.x == [F(8, 5), F(6, 5)]
     for v in (res.value, *res.x, *res.duals):
         assert type(v) is Fraction
@@ -548,8 +544,8 @@ def _leaves_its_arguments_alone(c, rows, rhs):
 
 @pytest.mark.parametrize("n_firms,n_workers", [(3, 5), (4, 4), (5, 6)])
 def test_simplex_and_certify_leave_coverage_programs_alone(monkeypatch, n_firms, n_workers):
-    # The coverage program solve_lp builds: 0/1 int rows and a right-hand
-    # side of int ones, which both functions take as their own numerators.
+    # The coverage program solve_lp builds: the values' int numerators, 0/1
+    # int rows and a right-hand side of int ones.
     calls = []
 
     def recording(*args):
@@ -561,7 +557,7 @@ def test_simplex_and_certify_leave_coverage_programs_alone(monkeypatch, n_firms,
         tu_solver.solve_lp(tu_solver.build_lp_problem(assignment_game(n_firms, n_workers, seed)))
     assert len(calls) == 3
     for c, rows, rhs in calls:
-        assert {type(a) for row in (*rows, rhs) for a in row} == {int}
+        assert {type(a) for row in (c, *rows, rhs) for a in row} == {int}
         _leaves_its_arguments_alone(c, rows, rhs)
 
 
@@ -589,4 +585,4 @@ def test_lex_duals_are_the_tie_stage_least_dual_point():
 
 def test_lex_duals_reject_a_negative_rhs():
     with pytest.raises(ValueError, match="nonnegative right-hand side"):
-        simplex_max([F(1)], [[F(1)], [F(-1)]], [F(2), F(-1)])
+        simplex_max([1], [[1], [-1]], [2, -1])

@@ -28,7 +28,6 @@ from matchkit.errors import (
 from matchkit.generator import GenParams, gen_tu_market
 from matchkit.io import load_market
 from matchkit.model import DEFAULT_BUDGET, _Budget, iter_disjoint_assignments
-from matchkit.simplex import simplex_max
 
 import lp_oracles
 from golden import SUITE_PARAMS, assignment_game, tied_game
@@ -81,13 +80,15 @@ def lex_min_oracle(problem):
         s.t. sum_{c owning a} w_c - t - [a = j < i] s_j <= [a = i]  for each agent a,
 
     all variables >= 0, whose right-hand side e_i is nonnegative; x is read
-    from that program's duals."""
+    from that program's duals.  Each program is rational (v is the values
+    over the problem's scale), so each goes to the Fraction-era
+    ``lp_oracles.simplex_max``, which certifies its own solves."""
     n = len(problem.agents)
     idx = {a: i for i, a in enumerate(problem.agents)}
     firm_cols = problem.firm_coalitions()
     cover = [[F(int(a in c.members())) for c, _ in firm_cols] for a in problem.agents]
-    values = [v for _, v in firm_cols]
-    lp = simplex_max(values, cover, [F(1)] * n)
+    values = [F(v, problem.scale) for _, v in firm_cols]
+    lp = lp_oracles.simplex_max(values, cover, [F(1)] * n)
 
     current = list(lp.duals)
     fixed = []
@@ -97,7 +98,9 @@ def lex_min_oracle(problem):
                 cover[a] + [F(-1)] + [F(-int(a == j)) for j in range(i)] for a in range(n)
             ]
             objective = values + [-lp.value] + [-f for f in fixed]
-            current = simplex_max(objective, rows, [F(int(a == i)) for a in range(n)]).duals
+            current = lp_oracles.simplex_max(
+                objective, rows, [F(int(a == i)) for a in range(n)]
+            ).duals
         fixed.append(current[i])
     return {a: current[i] for a, i in idx.items()}
 
