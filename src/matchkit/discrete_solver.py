@@ -13,14 +13,15 @@ rank-helper calls.  ``is_individually_rational`` and
 ``find_blocking_coalition`` read ``check_stable_discrete``'s verdict, and
 the dynamics run the same scan on each state.
 
-Enumeration walks the disjoint assignments of satisfactory sets depth first
-and prunes them with a forward version of the same test: a partial
-assignment in which some placed firm blocks every completion is not
-extended, and its pruned subtree spends no budget steps.  Every candidate
-that survives is still verified by check_stable_discrete.  The prune works
-on worker bitmasks packed in one integer, a lane per firm, and keeps per
-slot the state the next slot extends; a firm blocks when the rank of its
-choice from its pool, memoized per firm by pool mask, beats its option's.
+Enumeration is one depth-first loop over worker bitmasks, each firm's
+options built once as masks in rank order, pruned by a forward version of
+the same test: a partial assignment in which some placed firm blocks every
+completion is not extended, and its subtree spends no budget steps.  Every
+candidate that survives is still verified by check_stable_discrete.  The
+prune packs the pools in one integer, a lane per firm, and keeps per slot
+the state the next slot extends; a firm blocks when a set it ranks above
+its option's lies in its pool: one AND with the single workers ranked
+above, and for larger sets a rank memoized per firm by pool mask.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .model import (
     _Budget,
     check_guard,
     choice,  # noqa: F401  not called here; a module attribute perfbench/tracing.py wraps
-    iter_disjoint_assignments,
-    satisfactory_sets,
     set_key,
     validate_assignment,
 )
@@ -156,141 +155,153 @@ def enumerate_stable_matchings(
     disjoint satisfactory sets to firms (only rational candidates can be
     stable), each candidate verified by check_stable_discrete.
 
-    The search is pruned by a forward blocking test (``_forward_blocking``):
-    a partial assignment in which some placed firm blocks every completion
-    is not extended, and its subtree spends no budget steps.  The surviving
-    candidates keep their DFS order, so the result is the one the unpruned
-    search gives.  With ``limit`` the search stops after that many hits (DFS
-    order), and a ``limit`` below 1 raises ``ValueError``; otherwise the full
-    list is returned sorted by assignment.  It spends at most ``budget`` steps.
+    Slot k holds firms[k]'s options: the empty set, then its satisfactory
+    sets whose members all list it, in ``set_key`` order.  The last slot
+    varies fastest, and every option placed spends one budget step.  The
+    prune keeps the DFS order of what it does not cut, so the result is the
+    unpruned search's.  With ``limit`` the search stops after that many hits
+    (DFS order), and a ``limit`` below 1 raises ``ValueError``; otherwise the
+    full list is returned sorted by assignment.  It spends at most ``budget``
+    steps.
+
+    The prune: for a placed firm g, L_g holds the workers sure to weakly
+    prefer g to their final match: an assigned worker that weakly prefers g
+    to its firm, and an unassigned one that ranks g above staying unmatched
+    and above every firm it could still join (a later slot with an option
+    containing it).  L_g lies inside T_g in every completion, and Ch_g picks
+    the best listed set inside its argument, so if one of the sets g ranks
+    above its own lies in L_g, g blocks every completion.  No
+    substitutability is assumed.  Placing an option at slot i extends slot
+    i - 1's lanes (the assigned workers in every lane; the assigned-and-sure
+    pools, where slot i's workers join the lanes of the firms they weakly
+    prefer to firms[i]); a table per depth gives the unassigned part.  In DFS
+    order every state below slot i passed the test, and an older lane only
+    gains workers from slot i - 1 to i (a worker slot i hires was in it only
+    if it ranks that firm above firms[i]): only the new lane and the older
+    lanes that changed can newly block.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     check_guard(m)
+    work = _Budget(budget, "enumeration")
     firms = sorted(m.firms)
-    options = []
-    for f in firms:
-        opts = [(frozenset(), frozenset())]
-        for s in satisfactory_sets(m, f):
-            if all(f in m.worker_prefs.get(w, ()) for w in s):
-                opts.append((s, s))
-        options.append(opts)
-
-    found: list[DiscreteMatching] = []
-    search = iter_disjoint_assignments(
-        options, _Budget(budget, "enumeration"), _forward_blocking(m, firms, options)
-    )
-    for picked in search:
-        mu = DiscreteMatching(
-            assignment={w: f for f, s in zip(firms, picked) for w in s}
-        )
-        if check_stable_discrete(m, mu).stable:
-            found.append(mu)
-            if limit is not None and len(found) >= limit:
-                break
-    if limit is None:
-        found.sort(key=lambda mu: mu.key())
-    return found
-
-
-def _forward_blocking(m: DiscreteMarket, firms: list[str], options):
-    """The prune hook of the enumeration: true when a firm placed at a slot
-    up to i blocks every completion of the partial assignment.
-
-    For a placed firm g, L_g holds the workers sure to weakly prefer g to
-    their final match: an assigned worker that weakly prefers g to its firm,
-    and an unassigned one that ranks g above staying unmatched and above
-    every firm it could still join (a later slot with an option containing
-    it).  L_g lies inside T_g in every completion, and Ch_g picks the best
-    listed set inside its argument, so if one of the sets g ranks above its
-    own lies in L_g, g blocks every completion.  No substitutability is assumed.
-
-    Pools sit in lanes of one integer, lane k a worker mask for firms[k].  A
-    call at slot i extends slot i - 1's state (the assigned workers in every
-    lane; the assigned-and-sure pools, where slot i's workers join the lanes
-    of the firms they weakly prefer to firms[i]); a table per depth gives the
-    unassigned part, and a memo per firm maps a pool mask to its choice's
-    rank.  In DFS order the latest calls below slot i returned false, and an
-    older lane only gains workers from slot i - 1 to i (a worker slot i hires
-    was in it only if it ranks that firm above firms[i]): only a changed lane
-    can newly block.
-    """
     n, width = len(firms), len(m.workers)
     full = (1 << width) - 1
     bit = {w: 1 << j for j, w in enumerate(sorted(m.workers))}
     lane = {f: k * width for k, f in enumerate(firms)}
     every = sum(1 << s for s in lane.values())  # mask * every: the mask in every lane
-    # upto[w][f]: w's bit in the lanes of f and the firms w ranks above f; reach[w]:
-    # in those of the firms it prefers to being unmatched and to later slots.
-    upto, reach = {}, {}
+    low = [(1 << s) - 1 for s in lane.values()]  # low[k]: the lanes below k
+    # upto[f][w]: for each w that lists f, w's bit in the lanes of f and the
+    # firms w ranks above f; reach[w]: in those of the firms it prefers to
+    # being unmatched and to later slots.
+    upto, reach = {f: {} for f in firms}, {}
     for w, b in bit.items():
-        acc, upto[w] = 0, {}
+        acc = 0
         for f in m.worker_prefs.get(w, ()):
             acc |= b << lane[f]
-            upto[w][f] = acc
+            upto[f][w] = acc
         reach[w] = acc
+    # options[k]: slot k's (mask, mask * every, its workers' upto lanes at
+    # firms[k], rank, set); lone[k][r]: the single workers firms[k] ranks above
+    # rank r; multi[k]: the (rank, mask) of each larger set it lists.
+    options, lone, multi = [], [], []
+    for f in firms:
+        listed, up = m.firm_prefs.get(f, ()), upto[f]
+        singles, prefix, larger, sat = 0, [0], [], []
+        for r, s in enumerate(listed):
+            b = sum(map(bit.__getitem__, s))
+            # Satisfactory: no set ranked above s lies inside it.
+            if s <= up.keys() and not b & singles:
+                for q, _ in larger:
+                    if listed[q] <= s:
+                        break
+                else:
+                    sat.append((sorted(s), r, b, s))  # sorted(s) sorts as set_key(s)
+            if len(s) == 1:
+                singles |= b
+            else:
+                larger.append((r, b))
+            prefix.append(singles)
+        # The workers' upto lanes share no bit, so their sum is their union.
+        options.append([(0, 0, 0, len(listed), frozenset())] + [
+            (b, b * every, sum(map(up.__getitem__, s)), r, s) for _, r, b, s in sorted(sat)
+        ])
+        lone.append(prefix)
+        multi.append(larger)
     # open_pools[i]: every worker's reach over the slots after i.
     open_pools = [0] * n
     for i in range(n - 1, -1, -1):
         open_pools[i] = sum(reach.values())
         f = firms[i]
-        for key, _ in options[i]:
-            for w in key:  # both are prefixes of w's list, so min is the shorter
-                reach[w] = min(reach[w], upto[w][f] ^ bit[w] << lane[f])
-    # masks[k]: the masks of firms[k]'s list; memo[k][pool]: its choice's rank.
-    masks = [[sum(bit[w] for w in s) for s in m.firm_prefs.get(f, ())] for f in firms]
-    memo = [{} for _ in firms]
+        for opt in options[i]:
+            for w in opt[4]:  # both are prefixes of w's list, so & keeps the shorter
+                reach[w] &= upto[f][w] ^ bit[w] << lane[f]
+    memo = [{} for _ in firms]  # memo[k][pool]: the rank of multi[k]'s first set inside pool
 
-    def choice_rank(k, pool):
-        r = 0
-        for b in masks[k]:
-            if not b & ~pool:
-                break
-            r += 1
-        memo[k][pool] = r
-        return r
-
-    # table[i][S], built on first use: S's mask in every lane, its workers'
-    # upto lanes at firms[i], and its rank there.  Slot i's state: held[i + 1],
-    # sure[i + 1], pooled[i + 1] (every lane's pool), rank[i] (its option's).
-    table = [{} for _ in firms]
-    held, sure, pooled, rank = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1), [0] * n
-
-    def blocked(i: int, picked) -> bool:
-        s = picked[i]
-        entry = table[i].get(s)
-        if entry is None:
-            f = firms[i]
-            mask = pref = 0
-            for w in s:
-                mask |= bit[w]
-                pref |= upto[w][f]
-            above = m.firm_prefs[f].index(s) if s else len(masks[i])
-            entry = table[i][s] = (mask * every, pref, above)
-        spread, pref, above = entry
+    # Slot i's state: held[i + 1] (the assigned workers in every lane, so its
+    # lowest lane is the assigned mask), sure[i + 1], pooled[i + 1] (every
+    # lane's pool), rank[i] and picked[i] (its option's rank and set).
+    held, sure, pooled = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    rank, picked, pos = [0] * n, [None] * n, [0] * n
+    count = [len(opts) for opts in options]
+    found: list[DiscreteMatching] = []
+    left = work.left  # spent locally, stored back before returning or raising
+    i = 0
+    while i >= 0:
+        if i == n:  # every slot placed: verify the candidate
+            i -= 1
+            mu = DiscreteMatching(assignment={w: f for f, s in zip(firms, picked) for w in s})
+            if check_stable_discrete(m, mu).stable:
+                found.append(mu)
+                if limit is not None and len(found) >= limit:
+                    break
+            continue
+        j = pos[i]
+        if j == count[i]:
+            pos[i] = 0
+            i -= 1
+            continue
+        pos[i] = j + 1
+        mask, spread, pref, above, s = options[i][j]
+        if mask & held[i]:
+            continue
+        if left <= 0:
+            work.left = left
+            work.spend()  # raises WorkBudgetExceeded
+        left -= 1
+        picked[i] = s
         rank[i] = above
         held[i + 1] = assigned = held[i] | spread
         sure[i + 1] = pref = sure[i] | pref
         pooled[i + 1] = pools = open_pools[i] & ~assigned | pref
         # Test the new lane, then, newest first, the older lanes that changed.
         k, shift = i, i * width
-        changed = (pools ^ pooled[i]) & ((1 << shift) - 1)
-        while True:
+        changed = (pools ^ pooled[i]) & low[i]
+        while k >= 0:
             if above:
                 pool = pools >> shift & full
-                r = memo[k].get(pool)
-                if r is None:
-                    r = choice_rank(k, pool)
-                if r < above:
-                    return True
-            if not changed:
-                return False
-            k = (changed.bit_length() - 1) // width
-            shift = k * width
-            changed &= (1 << shift) - 1
-            above = rank[k]
-
-    return blocked
+                if pool & lone[k][above]:
+                    break
+                if multi[k]:
+                    r = memo[k].get(pool)
+                    if r is None:
+                        inside = (q for q, b in multi[k] if not b & ~pool)
+                        r = memo[k][pool] = next(inside, len(lone[k]))
+                    if r < above:
+                        break
+            if changed:
+                k = (changed.bit_length() - 1) // width
+                shift = k * width
+                changed &= low[k]
+                above = rank[k]
+            else:
+                k = -1
+        else:
+            i += 1  # no lane blocks: descend
+    work.left = left
+    if limit is None:
+        found.sort(key=lambda mu: mu.key())
+    return found
 
 
 def _apply_block(mu: DiscreteMatching, block: BlockingCoalition) -> DiscreteMatching:

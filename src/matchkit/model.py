@@ -236,7 +236,7 @@ class _Budget:
             raise WorkBudgetExceeded(f"{self.search} budget exhausted")
 
 
-def iter_disjoint_assignments(options, budget: _Budget, prune=None):
+def iter_disjoint_assignments(options, budget: _Budget):
     """Yield a tuple with one payload per slot for every choice of one option
     per slot whose keys are pairwise disjoint.
 
@@ -245,16 +245,6 @@ def iter_disjoint_assignments(options, budget: _Budget, prune=None):
     fastest, and every option placed spends one budget step.  The search
     keeps one position per slot instead of recursing, which keeps the cost
     per choice low.
-
-    ``prune(i, picked)``, when given, runs each time slot i's option has
-    been placed and its step spent, before the search descends or yields;
-    ``picked[:i + 1]`` holds the payloads placed so far (later entries are
-    stale, and the hook must not change the list).  A true result skips
-    every choice that extends this prefix, and the skipped subtree spends
-    no further steps, so the calls come in DFS order: the options at the
-    slots below i are the ones the latest calls there placed, and each of
-    those calls returned false.  The choices that survive keep their DFS
-    order.
     """
     n = len(options)
     if n == 0:
@@ -276,8 +266,6 @@ def iter_disjoint_assignments(options, budget: _Budget, prune=None):
             continue
         budget.spend()
         picked[i] = payload
-        if prune is not None and prune(i, picked):
-            continue
         if i == n - 1:
             yield tuple(picked)
         else:

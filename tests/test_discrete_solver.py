@@ -23,10 +23,11 @@ from matchkit.discrete_solver import (
     IrViolation,
     _apply_block,
 )
-from matchkit.errors import InvalidMarketError, SizeGuardExceeded
+from matchkit.errors import InvalidMarketError, SizeGuardExceeded, WorkBudgetExceeded
 from matchkit.generator import GenParams, gen_discrete_market
 from matchkit.io import load_market, serialize_market, write_json
 from matchkit.model import (
+    DEFAULT_BUDGET,
     _Budget,
     choice,
     iter_disjoint_assignments,
@@ -34,6 +35,8 @@ from matchkit.model import (
     set_key,
 )
 
+import enum_oracles
+from enum_oracles import iter_disjoint_assignments as iter_hooked_assignments
 from golden import SUITE_PARAMS, complete_marriage_market
 
 fs = frozenset
@@ -451,7 +454,8 @@ class TestEnumerate:
         def no_search(*args):
             raise AssertionError("the search ran")
 
-        monkeypatch.setattr(discrete_solver, "iter_disjoint_assignments", no_search)
+        # The guard is the first thing the search calls.
+        monkeypatch.setattr(discrete_solver, "check_guard", no_search)
         with pytest.raises(ValueError, match=f"^limit must be at least 1, got {limit}$"):
             enumerate_stable_matchings(marriage, limit=limit)
 
@@ -470,7 +474,9 @@ class TestEnumerate:
 
 
 class TestForwardBlockingPrune:
-    """The pruned enumeration against the unpruned one."""
+    """The pruned enumeration against the unpruned one.  The spies run on
+    the hooked search in ``enum_oracles``, whose prune verdicts the one
+    search loop repeats (``TestAgainstTheHookedSearch``)."""
 
     @staticmethod
     def agree(m):
@@ -526,16 +532,16 @@ class TestForwardBlockingPrune:
                 calls.append((i, tuple(picked[: i + 1]), hit))
                 return hit
 
-            return iter_disjoint_assignments(options, budget, recorded)
+            return iter_hooked_assignments(options, budget, recorded)
 
-        monkeypatch.setattr(discrete_solver, "iter_disjoint_assignments", spy)
+        monkeypatch.setattr(enum_oracles, "iter_disjoint_assignments", spy)
         markets = [load_market(FIXTURES / name) for name in DISCRETE_FIXTURES]
         markets += [gen_discrete_market(GenParams(seed=seed, **SUITE_PARAMS)) for seed in range(40)]
         markets += [complete_marriage_market(4, 5, seed) for seed in range(3)]
         deep = 0
         for m in markets:
             calls.clear()
-            enumerate_stable_matchings(m)
+            enum_oracles.enumerate_stable_matchings(m)
             latest = {}
             for i, prefix, hit in calls:
                 assert [latest[k] for k in range(i)] == [(s, False) for s in prefix[:i]]
@@ -553,9 +559,9 @@ class TestForwardBlockingPrune:
                     pruned.append(tuple(picked[: i + 1]))
                 return hit
 
-            return iter_disjoint_assignments(options, budget, recorded)
+            return iter_hooked_assignments(options, budget, recorded)
 
-        monkeypatch.setattr(discrete_solver, "iter_disjoint_assignments", spy)
+        monkeypatch.setattr(enum_oracles, "iter_disjoint_assignments", spy)
         markets = [
             gen_discrete_market(GenParams(seed=seed, firm_count=3, worker_count=4,
                                           max_acceptable_sets_per_firm=3,
@@ -566,7 +572,7 @@ class TestForwardBlockingPrune:
         total = 0
         for m in markets:
             pruned.clear()
-            enumerate_stable_matchings(m)
+            enum_oracles.enumerate_stable_matchings(m)
             firms = sorted(m.firms)
             stable = [mu for mu in all_matchings(m) if check_stable_discrete(m, mu).stable]
             for prefix in pruned:
@@ -584,7 +590,9 @@ class TestStabilityTestsAgainstOracles:
     """The rank-table and bitmask stability tests against the per-worker
     ``choice`` versions they replaced: the prune's verdict at every prefix
     the enumeration visits, and the blocking search and rationality check
-    on every probe matching."""
+    on every probe matching.  The prune's verdicts are read off the hooked
+    search in ``enum_oracles``, whose search tree the one search loop keeps
+    (``TestAgainstTheHookedSearch``)."""
 
     @staticmethod
     def prune_agrees(m, monkeypatch, limit=None):
@@ -602,10 +610,10 @@ class TestStabilityTestsAgainstOracles:
                 assert hit == oracle(i, picked)
                 return hit
 
-            return iter_disjoint_assignments(options, budget, both)
+            return iter_hooked_assignments(options, budget, both)
 
-        monkeypatch.setattr(discrete_solver, "iter_disjoint_assignments", spy)
-        enumerate_stable_matchings(m, limit=limit)
+        monkeypatch.setattr(enum_oracles, "iter_disjoint_assignments", spy)
+        enum_oracles.enumerate_stable_matchings(m, limit=limit)
         return visits
 
     @classmethod
@@ -666,6 +674,83 @@ class TestStabilityTestsAgainstOracles:
             visits = self.prune_agrees(m, monkeypatch, limit=1)
             stopped_early += visits < self.prune_agrees(m, monkeypatch)
         assert stopped_early > 0
+
+
+class TestAgainstTheHookedSearch:
+    """The one search loop against the generator-plus-hook search it
+    replaced (``enum_oracles``): equal results at limits None, 1 and 2, and
+    an equal budget exit, after equal steps, at every budget up to the
+    hooked search's total where the totals are small; on the larger corpora,
+    an equal least budget that answers."""
+
+    @pytest.fixture
+    def run(self, monkeypatch):
+        budgets = []
+
+        class Counted(_Budget):
+            def __init__(self, steps, search):
+                super().__init__(steps, search)
+                budgets.append(self)
+
+        for module in (discrete_solver, enum_oracles):
+            monkeypatch.setattr(module, "_Budget", Counted)
+
+        def run(module, m, limit=None, budget=DEFAULT_BUDGET):
+            """What one search returns or raises, and the steps it spent."""
+            budgets.clear()
+            try:
+                got = module.enumerate_stable_matchings(m, limit, budget)
+            except WorkBudgetExceeded as e:
+                got = str(e)
+            (spent,) = budgets
+            return got, budget - spent.left
+
+        return run
+
+    @staticmethod
+    def agree(run, m, sweep):
+        """Returns the hooked search's total steps."""
+        for limit in (2, 1, None):
+            got = run(enum_oracles, m, limit)
+            assert run(discrete_solver, m, limit) == got
+        total = got[1]  # the hooked search answers with this budget and no less
+        for budget in range(total + 2) if sweep else (total - 1,):
+            assert run(discrete_solver, m, None, budget) == run(enum_oracles, m, None, budget)
+        assert run(discrete_solver, m, None, total) == got
+        return total
+
+    def test_fixtures(self, run):
+        for name in DISCRETE_FIXTURES:
+            self.agree(run, load_market(FIXTURES / name), sweep=True)
+
+    def test_complete_marriage_markets(self, run):
+        for n_firms, n_workers in MARRIAGE_SHAPES:
+            for seed in range(2):
+                self.agree(run, complete_marriage_market(n_firms, n_workers, seed), sweep=True)
+
+    @pytest.mark.parametrize("shape", [(5, 7), (6, 6)], ids=["5x7", "6x6"])
+    def test_unit_demand_shapes(self, shape, run):
+        totals = [
+            self.agree(run, complete_marriage_market(*shape, seed), sweep=True)
+            for seed in range(3)
+        ]
+        assert sum(totals) > 300
+
+    @pytest.mark.parametrize("params", [SUITE_PARAMS, WIDE_PARAMS], ids=["suite", "wide"])
+    def test_generated_markets(self, params, run):
+        for seed in range(500):
+            self.agree(run, gen_discrete_market(GenParams(seed=seed, **params)), sweep=False)
+
+    def test_multi_worker_sets_and_partial_lists(self, run):
+        params = dict(firm_count=5, worker_count=7, max_acceptable_sets_per_firm=6,
+                      max_set_size=3, acceptability_density=0.6)
+        for seed in range(40):
+            self.agree(run, gen_discrete_market(GenParams(seed=seed, **params)), sweep=False)
+
+    def test_markets_with_no_firms_or_no_workers(self, run):
+        for firms, workers in ((set(), set()), (set(), {"w1", "w2"}), ({"f1", "f2"}, set())):
+            m = DiscreteMarket(firms=firms, workers=workers, firm_prefs={}, worker_prefs={})
+            assert self.agree(run, m, sweep=True) == len(firms)  # one empty option per firm
 
 
 # The least --budget under which ``solve-discrete --all`` answers (one step

@@ -20,6 +20,7 @@ from matchkit.errors import InvalidMarketError, WorkBudgetExceeded
 from matchkit.generator import GenParams, gen_discrete_market
 from matchkit.model import _Budget, iter_disjoint_assignments, set_key
 
+from enum_oracles import iter_disjoint_assignments as iter_hooked_assignments
 from lp_oracles import coalition_value
 
 fs = frozenset
@@ -337,8 +338,14 @@ class TestDisjointAssignments:
     ]
 
     def search(self, prune):
+        """The package's search, or with a hook the enumeration's old hooked
+        copy of it (``enum_oracles``), whose prune verdicts the spies in
+        ``test_discrete_solver.py`` read."""
         budget = _Budget(100, "test")
-        got = list(iter_disjoint_assignments(self.OPTIONS, budget, prune))
+        if prune is None:
+            got = list(iter_disjoint_assignments(self.OPTIONS, budget))
+        else:
+            got = list(iter_hooked_assignments(self.OPTIONS, budget, prune))
         return got, 100 - budget.left
 
     def test_no_hook_and_a_hook_that_never_prunes_agree(self):
